@@ -305,7 +305,7 @@ def _criterion_9_pipeline_round_trip() -> CriterionResult:
     response = InstrumentResponse(resp_grid, np.clip(resp_vals, 0.3, None))
 
     fine = np.linspace(380.0, 1000.0, 2481)  # 0.25 nm synthesis grid
-    ideal_fine = np.array([q1d_psd_per_wavelength(l, t_true) for l in fine])
+    ideal_fine = q1d_psd_per_wavelength(fine, t_true)
     delivered_fine = eta_true * correction.interpolate(fine) * ideal_fine
     measured_power = float(trapezoid(
         np.where((fine >= band[0]) & (fine <= band[1]), delivered_fine, 0.0), fine,

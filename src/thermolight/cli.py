@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import acceptance as acceptance_mod
-from .constants import TWO_PI_C
-from .cooling_sim import CycleConfig, ensemble_stats, rate_equation_trajectory, simulate_ensemble
+from .constants import NM, TWO_PI_C
+from .cooling_sim import CycleConfig, cycle_rate, ensemble_stats, rate_equation_trajectory, simulate_ensemble
 from .data_pipeline import (
     InstrumentResponse,
     ReferenceSolarSpectrum,
@@ -220,33 +220,28 @@ def cmd_spectrum(args) -> dict:
     _default(args, "points", 601)
     _default(args, "polarizations", 2)
     lo, hi = (float(b) for b in args.band_nm)
-    if not lo < hi:
-        raise ValueError(f"band must satisfy lo < hi, got [{lo}, {hi}]")
+    if not 0.0 < lo < hi:
+        raise ValueError(f"band must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     if args.points < 2:
         raise ValueError("need at least two grid points")
     t = Temperature(float(args.temperature_k))
     grid = np.linspace(lo, hi, args.points)
+    omega = TWO_PI_C / (grid * NM)
     if args.family == "q1d":
         if args.domain == "omega":
             kind = SpectrumKind.PSD_PER_ANGULAR_FREQUENCY
-            values = np.array([
-                q1d_psd(AngularFrequency.from_wavelength_nm(l), t, args.polarizations) for l in grid
-            ])
+            values = q1d_psd(omega, t, args.polarizations)
         else:
             kind = SpectrumKind.PSD_PER_WAVELENGTH
-            values = np.array([
-                (args.polarizations / 2.0) * q1d_psd_per_wavelength(l, t) for l in grid
-            ])
+            values = q1d_psd_per_wavelength(grid, t, args.polarizations)
         family_key = "q1d"
     else:
         if args.domain == "omega":
             kind = SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY
-            values = np.array([
-                math.pi * planck_radiance(AngularFrequency.from_wavelength_nm(l), t) for l in grid
-            ])
+            values = math.pi * planck_radiance(omega, t)
         else:
             kind = SpectrumKind.IRRADIANCE_PER_WAVELENGTH
-            values = np.array([planck_irradiance_per_wavelength(l, t) for l in grid])
+            values = planck_irradiance_per_wavelength(grid, t)
         family_key = "planck"
     spectrum = SampledSpectrum(grid, values, kind)
     csv_path = _out_path(args, f"spectrum_{family_key}_per_{args.domain}.csv")
@@ -376,8 +371,6 @@ def cmd_simulate(args) -> dict:
     trajectories = simulate_ensemble(cfg, int(args.trajectories))
     stats = ensemble_stats(trajectories, grid_points=int(args.grid_points))
     ode = rate_equation_trajectory(cfg)
-    ge = cfg.gamma * cfg.eta_sp
-    renewal = -ge / (1.0 + ge * cfg.step_duration_s)
 
     files = {}
     for k in range(min(int(args.write_trajectories), len(trajectories))):
@@ -392,7 +385,7 @@ def cmd_simulate(args) -> dict:
             "n_initial": cfg.n_initial, "t_max_s": cfg.t_max_s, "seed": cfg.seed,
             "trajectories": int(args.trajectories),
         },
-        "renewal_slope_per_s": renewal,
+        "renewal_slope_per_s": -cycle_rate(cfg),
         "stats": stats.to_summary_dict(),
     }
     path = _out_path(args, "ensemble_summary.json")
@@ -458,11 +451,8 @@ def cmd_reduce(args) -> dict:
     path = _out_path(args, "calibrated_psd.csv")
     write_spectrum_csv(path, calibrated)
     files["calibrated_psd"] = path
-    eta_text = "wavelength_nm,value\n" + "".join(
-        f"{float(wl)!r},{float(v)!r}\n" for wl, v in zip(efficiency.wavelengths_nm, efficiency.values)
-    )
     path = _out_path(args, "efficiency.csv")
-    atomic_write_text(path, "# kind=counts\n" + eta_text)
+    write_spectrum_csv(path, SampledSpectrum(efficiency.wavelengths_nm, efficiency.values, SpectrumKind.RATIO))
     files["efficiency"] = path
     fit_report = {
         "T_K": fit.temperature.kelvin,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -24,52 +24,32 @@ from scipy.special import erf
 from .constants import NM
 from .radiometry import (
     Temperature,
+    as_temperature,
     planck_irradiance_per_wavelength,
     q1d_psd_per_wavelength,
 )
-from .spectra import SampledSpectrum, SpectrumKind, read_spectrum_csv
+from .spectra import SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_csv
 
 
 class FitConvergenceError(RuntimeError):
     """Temperature fit failed to converge inside the allowed iterations/bracket."""
 
 
-def _as_temperature(t) -> Temperature:
-    return t if isinstance(t, Temperature) else Temperature(t)
-
-
 @dataclass(frozen=True)
-class InstrumentResponse:
-    """Relative spectrometer response on a wavelength grid; dimensionless, positive."""
+class InstrumentResponse(SampledSpectrum):
+    """Relative spectrometer response on a wavelength grid; dimensionless, strictly positive."""
 
-    wavelengths_nm: np.ndarray
-    values: np.ndarray
+    kind: SpectrumKind = field(default=SpectrumKind.RATIO, init=False)
 
     def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if wl.ndim != 1 or wl.size < 2 or v.shape != wl.shape:
-            raise ValueError("response needs matching 1-d wavelength and value arrays")
-        if np.any(np.diff(wl) <= 0.0) or np.any(wl <= 0.0):
-            raise ValueError("response wavelengths must be positive and strictly increasing")
-        if np.any(~np.isfinite(v)) or np.any(v <= 0.0):
-            raise ValueError("response values must be finite and positive")
-        wl = wl.copy(); v = v.copy()
-        wl.setflags(write=False); v.setflags(write=False)
-        object.__setattr__(self, "wavelengths_nm", wl)
-        object.__setattr__(self, "values", v)
-
-    def interpolate(self, grid_nm) -> np.ndarray:
-        g = np.asarray(grid_nm, dtype=float)
-        lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
-        if np.any(g < lo) or np.any(g > hi):
-            raise ValueError(f"response does not cover requested band (covers [{lo}, {hi}] nm)")
-        return np.interp(g, self.wavelengths_nm, self.values)
+        super().__post_init__()
+        if np.any(self.values <= 0.0):
+            raise ValueError("response values must be strictly positive")
 
     @classmethod
     def from_csv(cls, path) -> "InstrumentResponse":
-        wl, v = _read_two_column_csv(path)
-        return cls(wl, v)
+        s = read_spectrum_csv(path, default_kind=SpectrumKind.RATIO)
+        return cls(s.wavelengths_nm, s.values)
 
 
 @dataclass(frozen=True)
@@ -113,67 +93,25 @@ def slit_transmission(geometry: SlitGeometry, wavelength_nm):
 
 
 @dataclass(frozen=True)
-class ReferenceSolarSpectrum:
+class ReferenceSolarSpectrum(SampledSpectrum):
     """Direct-normal solar irradiance [W m^-2 nm^-1]; must cover 350-1100 nm."""
 
-    wavelengths_nm: np.ndarray
-    irradiance: np.ndarray
+    kind: SpectrumKind = field(default=SpectrumKind.IRRADIANCE_PER_WAVELENGTH, init=False)
 
     def __post_init__(self):
-        wl = np.asarray(self.wavelengths_nm, dtype=float)
-        v = np.asarray(self.irradiance, dtype=float)
-        if wl.ndim != 1 or wl.size < 2 or v.shape != wl.shape:
-            raise ValueError("reference needs matching 1-d wavelength and irradiance arrays")
-        if np.any(np.diff(wl) <= 0.0) or np.any(wl <= 0.0):
-            raise ValueError("reference wavelengths must be positive and strictly increasing")
-        if np.any(~np.isfinite(v)) or np.any(v < 0.0):
-            raise ValueError("reference irradiance must be finite and non-negative")
-        if wl[0] > 350.0 or wl[-1] < 1100.0:
+        super().__post_init__()
+        if self.wavelengths_nm[0] > 350.0 or self.wavelengths_nm[-1] < 1100.0:
             raise ValueError("reference spectrum must cover at least [350, 1100] nm")
-        wl = wl.copy(); v = v.copy()
-        wl.setflags(write=False); v.setflags(write=False)
-        object.__setattr__(self, "wavelengths_nm", wl)
-        object.__setattr__(self, "irradiance", v)
-
-    def interpolate(self, grid_nm) -> np.ndarray:
-        g = np.asarray(grid_nm, dtype=float)
-        lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
-        if np.any(g < lo) or np.any(g > hi):
-            raise ValueError(f"reference does not cover requested band (covers [{lo}, {hi}] nm)")
-        return np.interp(g, self.wavelengths_nm, self.irradiance)
 
     @classmethod
     def from_csv(cls, path) -> "ReferenceSolarSpectrum":
-        wl, v = _read_two_column_csv(path)
-        return cls(wl, v)
+        s = read_spectrum_csv(path, default_kind=SpectrumKind.IRRADIANCE_PER_WAVELENGTH)
+        return cls(s.wavelengths_nm, s.values)
 
     @classmethod
     def load_bundled(cls) -> "ReferenceSolarSpectrum":
         with resources.as_file(resources.files("thermolight.data") / "solar_reference.csv") as p:
             return cls.from_csv(p)
-
-
-def _read_two_column_csv(path):
-    """Lenient wavelength_nm,value reader: '#' comments allowed, kind line optional."""
-    wl, vals = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.lower().replace(" ", "") == "wavelength_nm,value":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two comma-separated columns")
-            try:
-                wl.append(float(parts[0]))
-                vals.append(float(parts[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
-    if len(wl) < 2:
-        raise ValueError(f"{path}: need at least two data rows")
-    return np.array(wl), np.array(vals)
 
 
 # -- corrections ---------------------------------------------------------
@@ -209,31 +147,23 @@ def apply_slit_correction(spectrum: SampledSpectrum, geometry: SlitGeometry) -> 
     return SampledSpectrum(spectrum.wavelengths_nm, spectrum.values / t, spectrum.kind, dict(spectrum.meta))
 
 
-@dataclass(frozen=True)
-class AtmosphericCorrection:
+@dataclass(frozen=True, kw_only=True)
+class AtmosphericCorrection(SampledSpectrum):
     """Ratio of a measured solar reference to a fitted ideal blackbody, clipped to [0, 1.2].
 
     Multiplying the ideal single-mode thermal PSD by this curve gives the
     spectrum expected at ground level after atmospheric extinction.
     """
 
-    wavelengths_nm: np.ndarray
-    values: np.ndarray
+    kind: SpectrumKind = field(default=SpectrumKind.RATIO, init=False)
     amplitude: float
     temperature: Temperature
     fit_band_nm: tuple
 
-    def interpolate(self, grid_nm) -> np.ndarray:
-        g = np.asarray(grid_nm, dtype=float)
-        lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
-        if np.any(g < lo) or np.any(g > hi):
-            raise ValueError(f"correction does not cover requested band (covers [{lo}, {hi}] nm)")
-        return np.interp(g, self.wavelengths_nm, self.values)
-
     def expected_q1d_psd(self, grid_nm=None) -> SampledSpectrum:
         """Expected single-mode PSD at ground level: c(lambda) * S_lambda(lambda, T)."""
         g = self.wavelengths_nm if grid_nm is None else np.asarray(grid_nm, dtype=float)
-        ideal = np.array([q1d_psd_per_wavelength(l, self.temperature) for l in g])
+        ideal = q1d_psd_per_wavelength(g, self.temperature)
         return SampledSpectrum(g, self.interpolate(g) * ideal, SpectrumKind.PSD_PER_WAVELENGTH)
 
 
@@ -249,20 +179,20 @@ def atmospheric_correction(
     absorbing the sun's solid-angle dilution and any gray loss; the residual
     wavelength dependence is the atmospheric (plus calibration) shape.
     """
-    t = _as_temperature(temperature)
+    t = as_temperature(temperature)
     wl = reference.wavelengths_nm
-    planck = np.array([planck_irradiance_per_wavelength(l, t) for l in wl])
+    planck = planck_irradiance_per_wavelength(wl, t)
     lo, hi = fit_band_nm
     if not lo < hi:
         raise ValueError(f"fit band must satisfy lo < hi, got {fit_band_nm!r}")
     in_band = (wl >= lo) & (wl <= hi)
     if np.count_nonzero(in_band) < 2:
         raise ValueError("fit band contains fewer than two reference samples")
-    p, r = planck[in_band], reference.irradiance[in_band]
+    p, r = planck[in_band], reference.values[in_band]
     amplitude = float(np.dot(p, r) / np.dot(p, p))
     if amplitude <= 0.0:
         raise ValueError("degenerate amplitude fit: reference is not Planck-like in the fit band")
-    c = np.clip(reference.irradiance / (amplitude * planck), 0.0, clip_ceiling)
+    c = np.clip(reference.values / (amplitude * planck), 0.0, clip_ceiling)
     return AtmosphericCorrection(
         wavelengths_nm=wl,
         values=c,
@@ -320,14 +250,11 @@ def extract_efficiency(
     Warns if eta exceeds 1 anywhere (super-thermal: calibration suspect).
     """
     if calibrated.kind == SpectrumKind.PSD_PER_ANGULAR_FREQUENCY:
-        from .spectra import convert_spectral_domain
-
         calibrated = convert_spectral_domain(calibrated, SpectrumKind.PSD_PER_WAVELENGTH)
     if calibrated.kind != SpectrumKind.PSD_PER_WAVELENGTH:
         raise ValueError(f"expected a calibrated PSD, got kind {calibrated.kind.value!r}")
-    t = _as_temperature(temperature)
     wl = calibrated.wavelengths_nm
-    ideal = np.array([q1d_psd_per_wavelength(l, t) for l in wl])
+    ideal = q1d_psd_per_wavelength(wl, temperature)
     if correction is not None:
         ideal = ideal * np.maximum(correction.interpolate(wl), 1e-6)
     eta = calibrated.values / ideal
@@ -364,9 +291,9 @@ class TemperatureFit:
 def _model_shape(model: str, wavelengths_nm, temperature: Temperature) -> np.ndarray:
     key = model.lower()
     if key in ("q1d", "1d"):
-        return np.array([q1d_psd_per_wavelength(l, temperature) for l in wavelengths_nm])
+        return q1d_psd_per_wavelength(wavelengths_nm, temperature)
     if key in ("3d", "planck"):
-        return np.array([planck_irradiance_per_wavelength(l, temperature) for l in wavelengths_nm])
+        return planck_irradiance_per_wavelength(wavelengths_nm, temperature)
     raise ValueError(f"unknown model {model!r}; expected 'q1d' or '3d'")
 
 
@@ -384,8 +311,6 @@ def fit_temperature(
     budget or the minimum sits at a bracket edge (degenerate shape).
     """
     if spectrum.kind in (SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY):
-        from .spectra import convert_spectral_domain
-
         target = (
             SpectrumKind.PSD_PER_WAVELENGTH
             if spectrum.kind == SpectrumKind.PSD_PER_ANGULAR_FREQUENCY

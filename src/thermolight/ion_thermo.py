@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .constants import C, HBAR
-from .radiometry import AngularFrequency, Temperature, mean_occupation, planck_energy_density
+from .radiometry import (
+    AngularFrequency,
+    Temperature,
+    as_temperature,
+    mean_occupation,
+    omega_value,
+    planck_energy_density,
+)
 
 
 class PopulationInversionError(ValueError):
@@ -134,9 +141,7 @@ class BathSet:
 
     def __post_init__(self):
         for label in ("t_laser", "t_sun", "t_room"):
-            v = getattr(self, label)
-            if not isinstance(v, Temperature):
-                object.__setattr__(self, label, Temperature(v))
+            object.__setattr__(self, label, as_temperature(getattr(self, label)))
         if self.t_sun.is_infinite or self.t_room.is_infinite:
             raise ValueError("sun and room temperatures must be finite")
 
@@ -157,8 +162,7 @@ class CoolingDrive:
             raise ValueError(f"grayness must lie in (0, 1], got {self.grayness!r}")
         if not (0.0 <= self.p_d <= 1.0):
             raise ValueError(f"p_d must lie in [0, 1], got {self.p_d!r}")
-        if not isinstance(self.omega_motion, AngularFrequency):
-            object.__setattr__(self, "omega_motion", AngularFrequency(self.omega_motion))
+        object.__setattr__(self, "omega_motion", AngularFrequency(omega_value(self.omega_motion)))
 
 
 def branching_fraction(ion: IonSpec) -> float:
@@ -176,8 +180,7 @@ def excitation_rate(a_eg: float, g_e: int, g_g: int, omega_eg, rho: float) -> fl
         raise ValueError("transition parameters must be positive")
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"energy density must be finite and non-negative, got {rho!r}")
-    w = omega_eg.rad_per_s if isinstance(omega_eg, AngularFrequency) else AngularFrequency(omega_eg).rad_per_s
-    return (math.pi ** 2 * C ** 3) / (HBAR * w ** 3) * (g_e / g_g) * a_eg * rho
+    return (math.pi ** 2 * C ** 3) / (HBAR * omega_value(omega_eg) ** 3) * (g_e / g_g) * a_eg * rho
 
 
 def phonon_cooling_rate(gamma: float, p_d: float, eta_sp: float) -> float:
@@ -200,7 +203,7 @@ class CoolingRateReport:
 
 def cooling_rate_report(ion: IonSpec, drive: CoolingDrive, t_sun: "Temperature | float") -> CoolingRateReport:
     """Full estimate chain: delivered energy density -> excitation -> phonon rate."""
-    t = t_sun if isinstance(t_sun, Temperature) else Temperature(t_sun)
+    t = as_temperature(t_sun)
     w2 = AngularFrequency(ion.omega2_rad_s)
     rho = drive.eta_delivery * drive.grayness * planck_energy_density(w2, t)
     gamma = excitation_rate(ion.a_pd_driven, ion.g_e, ion.g_g, w2, rho)
@@ -223,7 +226,7 @@ def virtual_temperature(ion: IonSpec, baths: BathSet, omega_motion) -> Temperatu
     omega2 substituted, so equal baths cancel term-by-term and the fixed
     point T_V = T holds to rounding. Infinite baths contribute zero.
     """
-    wm = omega_motion.rad_per_s if isinstance(omega_motion, AngularFrequency) else AngularFrequency(omega_motion).rad_per_s
+    wm = omega_value(omega_motion)
     if wm >= ion.omega1_rad_s:
         raise ValueError("motional frequency must be far below the S-D splitting")
     inv_l = baths.t_laser.inverse_kelvin
@@ -245,11 +248,10 @@ def virtual_temperature_room_limit(ion: IonSpec, t_room: "Temperature | float", 
     omega2/T_sun << omega3/T_room; the practical floor for sideband
     cooling in a room-temperature chamber.
     """
-    t = t_room if isinstance(t_room, Temperature) else Temperature(t_room)
+    t = as_temperature(t_room)
     if t.is_infinite:
         raise ValueError("room temperature must be finite")
-    wm = omega_motion.rad_per_s if isinstance(omega_motion, AngularFrequency) else AngularFrequency(omega_motion).rad_per_s
-    return Temperature(wm / ion.omega3_rad_s * t.kelvin)
+    return Temperature(omega_value(omega_motion) / ion.omega3_rad_s * t.kelvin)
 
 
 @dataclass(frozen=True)
@@ -261,8 +263,8 @@ class OccupationReport:
 
 def ground_state_occupation(t_v: "Temperature | float", omega_motion) -> OccupationReport:
     """Motional occupation at the virtual temperature, exact and Wien-approximated."""
-    t = t_v if isinstance(t_v, Temperature) else Temperature(t_v)
-    wm = omega_motion.rad_per_s if isinstance(omega_motion, AngularFrequency) else AngularFrequency(omega_motion).rad_per_s
+    t = as_temperature(t_v)
+    wm = omega_value(omega_motion)
     n_exact = mean_occupation(wm, t)
     x = HBAR * wm * t.beta
     n_wien = math.exp(-x) if x < 745.0 else 0.0

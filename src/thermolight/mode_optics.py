@@ -15,17 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, NM, TWO_PI_C
-from .radiometry import AngularFrequency
+from .radiometry import omega_value
 
 _FOUR_PI = 4.0 * math.pi
 
 _REGIMES = ("constant_divergence", "constant_area", "tabulated")
-
-
-def _wavelength_m(omega) -> float:
-    if isinstance(omega, AngularFrequency):
-        return omega.wavelength_m
-    return AngularFrequency(omega).wavelength_m
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ class FiberModeModel:
 
 def mode_area(model: FiberModeModel, omega) -> float:
     """Mode area A(omega) in m^2 under the model's regime."""
-    lam = _wavelength_m(omega)
+    lam = TWO_PI_C / omega_value(omega)
     lam_nm = lam / NM
     model._check_band(lam_nm)
     if model.regime == "constant_divergence":
@@ -132,7 +126,7 @@ def mode_area(model: FiberModeModel, omega) -> float:
 
 def mode_solid_angle(model: FiberModeModel, omega) -> float:
     """Diffraction solid angle Omega = lambda^2 / A, in sr; capped at 4*pi."""
-    lam = _wavelength_m(omega)
+    lam = TWO_PI_C / omega_value(omega)
     solid = lam ** 2 / mode_area(model, omega)
     if solid > _FOUR_PI:
         raise ValueError(
@@ -156,7 +150,7 @@ def grayness(area_m2: float, omega) -> float:
     """
     if not (area_m2 > 0.0 and math.isfinite(area_m2)):
         raise ValueError(f"area must be finite and positive, got {area_m2!r}")
-    lam = _wavelength_m(omega)
+    lam = TWO_PI_C / omega_value(omega)
     g = lam ** 2 / _FOUR_PI / area_m2
     if g > 1.0:
         raise ValueError(f"grayness {g:.4g} exceeds 1: area below lambda^2/(4*pi)")
@@ -180,8 +174,7 @@ def divergence_half_angle(waist_m: float, omega) -> float:
     """Far-field 1/e^2 half angle 2c/(omega w0) of a Gaussian beam, rad."""
     if not (waist_m > 0.0 and math.isfinite(waist_m)):
         raise ValueError(f"waist must be finite and positive, got {waist_m!r}")
-    w = omega.rad_per_s if isinstance(omega, AngularFrequency) else AngularFrequency(omega).rad_per_s
-    return 2.0 * C / (w * waist_m)
+    return 2.0 * C / (omega_value(omega) * waist_m)
 
 
 @dataclass(frozen=True)
@@ -222,7 +215,7 @@ def gaussian_angular_radiance(omega, theta_rad: float, waist_m: float, psd_w_per
     thermal single-mode S the on-axis value is exactly 4x the blackbody
     radiance. Units W m^-2 sr^-1 (rad/s)^-1.
     """
-    w = omega.rad_per_s if isinstance(omega, AngularFrequency) else AngularFrequency(omega).rad_per_s
+    w = omega_value(omega)
     if psd_w_per_rad_s < 0.0 or not math.isfinite(psd_w_per_rad_s):
         raise ValueError(f"PSD must be finite and non-negative, got {psd_w_per_rad_s!r}")
     a_th = top_hat_area(waist_m)

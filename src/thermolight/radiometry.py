@@ -3,6 +3,8 @@
 Conventions: angular frequency omega in rad/s throughout; spectral
 densities per angular frequency unless a name says per_wavelength.
 The quasi-1D power spectral density defaults to two polarizations.
+The spectral functions take a scalar (and return a float) or an array of
+frequencies or wavelengths (and return an array); temperature is scalar.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .constants import C, HBAR, K_B, NM, TWO_PI_C
@@ -81,61 +84,74 @@ class AngularFrequency:
         return self.wavelength_m / NM
 
 
-def _omega_value(omega: "AngularFrequency | float") -> float:
+def _positive_array(values, what: str) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(a) & (a > 0.0)):
+        raise ValueError(f"{what} must be finite and positive")
+    return a
+
+
+def omega_value(omega: "AngularFrequency | float | np.ndarray"):
+    """Validated rad/s: a float for an AngularFrequency or a number, a float array for an array."""
     if isinstance(omega, AngularFrequency):
         return omega.rad_per_s
+    if np.ndim(omega):
+        return _positive_array(omega, "angular frequencies")
     return AngularFrequency(omega).rad_per_s
 
 
-def _temperature(t: "Temperature | float") -> Temperature:
+def as_temperature(t: "Temperature | float") -> Temperature:
     return t if isinstance(t, Temperature) else Temperature(t)
 
 
-def _bose(x: float) -> float:
-    """1/(e^x - 1) for x > 0, with overflow guard; inf at x == 0."""
-    if x == 0.0:
-        return math.inf
-    if x > _EXP_CUT:
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+def domega_dlambda(wavelength_nm):
+    """|d omega / d lambda| = 2 pi c / lambda^2, in rad/s per nm."""
+    return TWO_PI_C / (wavelength_nm * NM) ** 2 * NM
 
 
-def mean_occupation(omega: "AngularFrequency | float", temperature: "Temperature | float") -> float:
+def _wavelength_and_omega(wavelength_nm):
+    """Validated wavelength(s) in nm and the matching omega in rad/s."""
+    if np.ndim(wavelength_nm):
+        lam = _positive_array(wavelength_nm, "wavelengths")
+        return lam, TWO_PI_C / (lam * NM)
+    return float(wavelength_nm), AngularFrequency.from_wavelength_nm(wavelength_nm).rad_per_s
+
+
+def _bose(x):
+    """1/(e^x - 1) elementwise for x >= 0, with overflow guard; inf at x == 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        n = np.where(x > _EXP_CUT, np.exp(-x), 1.0 / np.expm1(x))
+    return n if np.ndim(x) else float(n)
+
+
+def mean_occupation(omega, temperature: "Temperature | float"):
     """Bose-Einstein occupation of a mode at omega in a bath at T.
 
     Diverges (returns inf) for the infinite-temperature sentinel and
     underflows to exactly 0.0 deep in the exponential tail.
     """
-    w = _omega_value(omega)
-    t = _temperature(temperature)
-    return _bose(HBAR * w * t.beta)
+    return _bose(HBAR * omega_value(omega) * as_temperature(temperature).beta)
 
 
-def planck_radiance(omega: "AngularFrequency | float", temperature: "Temperature | float") -> float:
+def planck_radiance(omega, temperature: "Temperature | float"):
     """Blackbody spectral radiance per angular frequency.
 
     Units W m^-2 sr^-1 (rad/s)^-1.
     """
-    w = _omega_value(omega)
-    n = mean_occupation(w, temperature)
-    return HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2) * n
+    w = omega_value(omega)
+    return HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2) * mean_occupation(w, temperature)
 
 
-def planck_energy_density(omega: "AngularFrequency | float", temperature: "Temperature | float") -> float:
+def planck_energy_density(omega, temperature: "Temperature | float"):
     """Isotropic blackbody energy density per angular frequency, J m^-3 (rad/s)^-1.
 
     Equals (4 pi / c) * planck_radiance.
     """
-    w = _omega_value(omega)
-    n = mean_occupation(w, temperature)
-    return HBAR * w ** 3 / (math.pi ** 2 * C ** 3) * n
+    w = omega_value(omega)
+    return HBAR * w ** 3 / (math.pi ** 2 * C ** 3) * mean_occupation(w, temperature)
 
 
-def q1d_psd(
-    omega: "AngularFrequency | float",
-    temperature: "Temperature | float",
-    polarizations: int = 2,
-) -> float:
+def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
     """Thermal power spectral density guided in a single transverse mode.
 
     Units W s/rad (power per angular-frequency interval). With two
@@ -145,36 +161,31 @@ def q1d_psd(
     """
     if polarizations not in (1, 2):
         raise ValueError(f"polarizations must be 1 or 2, got {polarizations!r}")
-    w = _omega_value(omega)
-    n = mean_occupation(w, temperature)
-    s = (polarizations / 2.0) * (HBAR * w / math.pi) * n
-    if math.isinf(s):
-        return s
-    return max(s, _TINY)
+    w = omega_value(omega)
+    s = (polarizations / 2.0) * (HBAR * w / math.pi) * mean_occupation(w, temperature)
+    return np.maximum(s, _TINY) if np.ndim(s) else max(s, _TINY)
 
 
 def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) -> float:
     """Frequency-integrated single-mode thermal power, pi (k_B T)^2 / (6 hbar) for two polarizations."""
     if polarizations not in (1, 2):
         raise ValueError(f"polarizations must be 1 or 2, got {polarizations!r}")
-    t = _temperature(temperature)
+    t = as_temperature(temperature)
     if t.is_infinite:
         raise ValueError("integrated power diverges at infinite temperature")
     return (polarizations / 2.0) * math.pi * (K_B * t.kelvin) ** 2 / (6.0 * HBAR)
 
 
-def q1d_psd_per_wavelength(wavelength_nm: float, temperature: "Temperature | float") -> float:
+def q1d_psd_per_wavelength(wavelength_nm, temperature: "Temperature | float", polarizations: int = 2):
     """Single-mode thermal PSD expressed per wavelength interval, W/nm."""
-    w = AngularFrequency.from_wavelength_nm(wavelength_nm)
-    jac = TWO_PI_C / w.wavelength_m ** 2  # |d omega / d lambda|, rad/s per m
-    return q1d_psd(w, temperature) * jac * NM
+    lam, w = _wavelength_and_omega(wavelength_nm)
+    return q1d_psd(w, temperature, polarizations) * domega_dlambda(lam)
 
 
-def planck_irradiance_per_wavelength(wavelength_nm: float, temperature: "Temperature | float") -> float:
+def planck_irradiance_per_wavelength(wavelength_nm, temperature: "Temperature | float"):
     """Blackbody spectral exitance pi * B_lambda, W m^-2 nm^-1."""
-    w = AngularFrequency.from_wavelength_nm(wavelength_nm)
-    jac = TWO_PI_C / w.wavelength_m ** 2
-    return math.pi * planck_radiance(w, temperature) * jac * NM
+    lam, w = _wavelength_and_omega(wavelength_nm)
+    return math.pi * planck_radiance(w, temperature) * domega_dlambda(lam)
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +213,7 @@ def wien_peak(family: str, temperature: "Temperature | float") -> "float | None"
     """
     if family not in _WIEN_EXPONENT:
         raise ValueError(f"unknown spectral family {family!r}; expected one of {sorted(_WIEN_EXPONENT)}")
-    t = _temperature(temperature)
+    t = as_temperature(temperature)
     if t.is_infinite:
         raise ValueError("peak wavelength is undefined at infinite temperature")
     p = _WIEN_EXPONENT[family]

@@ -4,9 +4,10 @@ All spectra live on a strictly increasing wavelength grid in nm. Power-like
 kinds carry an exact Jacobian to the wavelength measure, so integration and
 kind conversion share one quadrature rule and conserve power to rounding.
 
-CSV format: optional comment lines starting with '#', one of which must be
-'# kind=<kind>', then a 'wavelength_nm,value' header and data rows. UTF-8,
-LF line endings.
+CSV format: optional comment lines starting with '#', one of which names
+the kind as '# kind=<kind>' (required unless the reader is given a default
+kind), then a 'wavelength_nm,value' header and data rows. UTF-8, LF line
+endings.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .constants import NM, TWO_PI_C
+from .radiometry import domega_dlambda
 
 
 class SpectrumKind(str, enum.Enum):
@@ -29,6 +30,7 @@ class SpectrumKind(str, enum.Enum):
     PSD_PER_WAVELENGTH = "psd_per_wavelength"
     IRRADIANCE_PER_WAVELENGTH = "irradiance_per_wavelength"
     IRRADIANCE_PER_ANGULAR_FREQUENCY = "irradiance_per_angular_frequency"
+    RATIO = "ratio"  # dimensionless: responses, transmissions, efficiencies
 
 
 # kinds whose values are densities over a spectral measure
@@ -85,8 +87,8 @@ class SampledSpectrum:
     # -- interpolation ---------------------------------------------------
 
     def interpolate(self, grid_nm) -> np.ndarray:
-        """Linear-in-wavelength interpolation; raises outside the sampled band."""
-        g = np.atleast_1d(np.asarray(grid_nm, dtype=float))
+        """Linear-in-wavelength interpolation, a scalar for a scalar; raises outside the sampled band."""
+        g = np.asarray(grid_nm, dtype=float)
         lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
         if np.any(g < lo) or np.any(g > hi):
             raise ValueError(f"requested wavelengths outside sampled band [{lo}, {hi}] nm")
@@ -103,9 +105,7 @@ class SampledSpectrum:
         if self.kind in _PER_WAVELENGTH:
             return self.values
         if self.kind in _PER_OMEGA:
-            lam_m = self.wavelengths_nm * NM
-            jac = TWO_PI_C / lam_m ** 2  # |d omega / d lambda| in rad/s per m
-            return self.values * jac * NM
+            return self.values * domega_dlambda(self.wavelengths_nm)
         raise ValueError(f"kind {self.kind.value!r} is not integrable over wavelength")
 
     def band_power(self, band_nm: "tuple[float, float] | None" = None) -> float:
@@ -130,19 +130,16 @@ def convert_spectral_domain(spectrum: SampledSpectrum, target_kind: SpectrumKind
     """Convert a density between per-omega and per-wavelength measures.
 
     Pointwise exact Jacobian on the unchanged grid; integrated band power is
-    preserved to rounding. Counts carry no measure and cannot be converted.
+    preserved to rounding. Counts and ratios carry no measure and cannot be
+    converted.
     """
     target = SpectrumKind(target_kind)
     if target == spectrum.kind:
         return spectrum
     if frozenset({spectrum.kind, target}) not in _CONVERSION_PAIRS:
         raise ValueError(f"no domain conversion from {spectrum.kind.value!r} to {target.value!r}")
-    lam_m = spectrum.wavelengths_nm * NM
-    jac = TWO_PI_C / lam_m ** 2  # rad/s per m
-    if spectrum.kind in _PER_OMEGA:
-        values = spectrum.values * jac * NM  # per rad/s -> per nm
-    else:
-        values = spectrum.values / (jac * NM)  # per nm -> per rad/s
+    jac = domega_dlambda(spectrum.wavelengths_nm)
+    values = spectrum.values * jac if spectrum.kind in _PER_OMEGA else spectrum.values / jac
     return SampledSpectrum(spectrum.wavelengths_nm, values, target, dict(spectrum.meta))
 
 
@@ -180,9 +177,11 @@ def write_spectrum_csv(path: "str | os.PathLike", spectrum: SampledSpectrum) -> 
     atomic_write_text(path, spectrum_to_csv_text(spectrum))
 
 
-def read_spectrum_csv(path: "str | os.PathLike") -> SampledSpectrum:
-    """Read a spectrum CSV; requires the '# kind=' sidecar comment."""
-    kind = None
+def read_spectrum_csv(
+    path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None
+) -> SampledSpectrum:
+    """Read a spectrum CSV; without a '# kind=' comment the kind is default_kind, if given."""
+    kind = default_kind
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -184,6 +184,7 @@ def test_reduce_round_trip(tmp_path):
     cal = read_spectrum_csv(tmp_path / "calibrated_psd.csv")
     assert cal.kind == SpectrumKind.PSD_PER_WAVELENGTH
     eff = read_spectrum_csv(tmp_path / "efficiency.csv")
+    assert eff.kind == SpectrumKind.RATIO
     assert float(np.median(eff.values)) == pytest.approx(eta_true, rel=0.05)
 
 

@@ -174,11 +174,11 @@ def test_correction_expected_ground_psd():
 def test_bundled_reference_properties():
     ref = ReferenceSolarSpectrum.load_bundled()
     assert ref.wavelengths_nm[0] <= 350.0 and ref.wavelengths_nm[-1] >= 1100.0
-    assert np.all(np.isfinite(ref.irradiance)) and np.all(ref.irradiance >= 0.0)
-    peak_nm = ref.wavelengths_nm[int(np.argmax(ref.irradiance))]
+    assert np.all(np.isfinite(ref.values)) and np.all(ref.values >= 0.0)
+    peak_nm = ref.wavelengths_nm[int(np.argmax(ref.values))]
     assert 400.0 < peak_nm < 700.0  # visible-band peak, solar-like
     again = ReferenceSolarSpectrum.load_bundled()
-    assert np.array_equal(again.irradiance, ref.irradiance)
+    assert np.array_equal(again.values, ref.values)
 
 
 def test_reference_must_cover_wide_band():

@@ -1,0 +1,125 @@
+"""Property-based invariants: array radiometry, domain conversion, CSV round trips."""
+
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from thermolight import (
+    SampledSpectrum,
+    SpectrumKind,
+    Temperature,
+    convert_spectral_domain,
+    mean_occupation,
+    planck_energy_density,
+    planck_irradiance_per_wavelength,
+    planck_radiance,
+    q1d_psd,
+    q1d_psd_per_wavelength,
+    read_spectrum_csv,
+)
+from thermolight.spectra import spectrum_to_csv_text
+
+HBAR = 6.62607015e-34 / (2.0 * math.pi)
+KB = 1.380649e-23
+
+PER_OMEGA = [
+    mean_occupation,
+    planck_radiance,
+    planck_energy_density,
+    q1d_psd,
+    lambda w, t: q1d_psd(w, t, polarizations=1),
+]
+PER_WAVELENGTH = [
+    planck_irradiance_per_wavelength,
+    q1d_psd_per_wavelength,
+    lambda lam, t: q1d_psd_per_wavelength(lam, t, polarizations=1),
+]
+
+finite_kelvin = st.floats(1.0, 1e5)
+# x = hbar omega / (k_B T) from the classical limit to past the e^-x cut at 700 and the underflow
+x_values = st.lists(st.floats(1e-6, 900.0), min_size=1, max_size=40)
+
+
+def _same_as_scalars(fn, points: np.ndarray, temperature) -> None:
+    whole = fn(points, temperature)
+    one_by_one = [fn(float(p), temperature) for p in points]
+    assert all(type(v) is float for v in one_by_one)
+    assert isinstance(whole, np.ndarray) and whole.shape == points.shape
+    np.testing.assert_allclose(whole, one_by_one, rtol=1e-13, atol=0.0)
+
+
+@settings(deadline=None)
+@given(x=x_values, t_k=finite_kelvin)
+def test_per_omega_arrays_match_scalars(x, t_k):
+    omega = np.array(x) * KB * t_k / HBAR
+    for fn in PER_OMEGA:
+        _same_as_scalars(fn, omega, t_k)
+
+
+@settings(deadline=None)
+@given(omega=st.lists(st.floats(1e9, 1e17), min_size=1, max_size=40))
+def test_per_omega_arrays_match_scalars_at_infinite_temperature(omega):
+    for fn in PER_OMEGA:
+        _same_as_scalars(fn, np.array(omega), Temperature.infinite())
+
+
+@settings(deadline=None)
+@given(wavelengths=st.lists(st.floats(50.0, 1e5), min_size=1, max_size=40), t_k=finite_kelvin)
+def test_per_wavelength_arrays_match_scalars(wavelengths, t_k):
+    for fn in PER_WAVELENGTH:
+        _same_as_scalars(fn, np.array(wavelengths), t_k)
+
+
+@st.composite
+def spectra(draw, kind, value=st.floats(0.0, 1e300)):
+    grid = sorted(draw(st.lists(st.floats(100.0, 3000.0), min_size=2, max_size=60, unique=True)))
+    values = draw(st.lists(value, min_size=len(grid), max_size=len(grid)))
+    return SampledSpectrum(np.array(grid), np.array(values), kind)
+
+
+# zero, or large enough to stay a normal double per rad/s (|d omega/d lambda| < 2e14 rad/s/nm here)
+density = st.one_of(st.just(0.0), st.floats(1e-290, 1e6))
+
+
+@settings(deadline=None)
+@given(s=st.one_of(spectra(SpectrumKind.PSD_PER_WAVELENGTH, density),
+                   spectra(SpectrumKind.IRRADIANCE_PER_WAVELENGTH, density)))
+def test_domain_conversion_round_trips_and_keeps_band_power(s):
+    per_omega_kind = {
+        SpectrumKind.PSD_PER_WAVELENGTH: SpectrumKind.PSD_PER_ANGULAR_FREQUENCY,
+        SpectrumKind.IRRADIANCE_PER_WAVELENGTH: SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY,
+    }[s.kind]
+    w = convert_spectral_domain(s, per_omega_kind)
+    back = convert_spectral_domain(w, s.kind)
+    assert np.array_equal(w.wavelengths_nm, s.wavelengths_nm)
+    np.testing.assert_allclose(back.values, s.values, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(w.band_power(), s.band_power(), rtol=1e-12, atol=0.0)
+
+
+def _read_back(text: str, **kwargs) -> SampledSpectrum:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return read_spectrum_csv(path, **kwargs)
+
+
+@given(s=spectra(SpectrumKind.RATIO))
+def test_ratio_spectrum_csv_round_trip_is_exact(s):
+    back = _read_back(spectrum_to_csv_text(s))
+    assert back.kind == SpectrumKind.RATIO
+    assert np.array_equal(back.wavelengths_nm, s.wavelengths_nm)
+    assert np.array_equal(back.values, s.values)
+
+
+@given(s=spectra(SpectrumKind.COUNTS))
+def test_file_without_kind_line_round_trips_with_default_kind(s):
+    rows = "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(s.wavelengths_nm, s.values))
+    back = _read_back("wavelength_nm,value\n" + rows, default_kind=SpectrumKind.RATIO)
+    assert back.kind == SpectrumKind.RATIO
+    assert np.array_equal(back.wavelengths_nm, s.wavelengths_nm)
+    assert np.array_equal(back.values, s.values)
