@@ -3,7 +3,8 @@
 Each check answers one question about the package against a value computed
 by a different route: closed forms, quadrature, renewal theory, a
 brute-force Markov chain, or a synthetic round trip. `run_all` is shared
-by the test suite and the `check` CLI subcommand.
+by the test suite and the `check` CLI subcommand. The criteria that use
+scipy import it themselves, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad, trapezoid
 
 from .constants import HBAR, K_B
 from .cooling_sim import CycleConfig, ensemble_stats, simulate_ensemble
@@ -169,6 +169,8 @@ def _criterion_2_grayness() -> CriterionResult:
 
 
 def _criterion_3_total_power() -> CriterionResult:
+    from scipy.integrate import quad
+
     details = []
     ok = True
     for t_k in (300.0, 1000.0, 5800.0):
@@ -293,6 +295,8 @@ def _criterion_8_simulator() -> CriterionResult:
 
 
 def _criterion_9_pipeline_round_trip() -> CriterionResult:
+    from scipy.integrate import trapezoid
+
     t_true = Temperature(5800.0)
     eta_true = 0.72
     band = (400.0, 900.0)

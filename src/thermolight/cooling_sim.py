@@ -261,6 +261,8 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     """
     if len(trajectories) < 2:
         raise ValueError("need at least two trajectories")
+    if grid_points < 3:
+        raise ValueError(f"need at least three grid points, got {grid_points}")
     ref = replace(trajectories[0].config, seed=0)
     for traj in trajectories[1:]:
         if replace(traj.config, seed=0) != ref:

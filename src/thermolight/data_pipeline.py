@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.special import erf
 
 from .constants import NM
 from .radiometry import (
@@ -35,6 +33,14 @@ class FitConvergenceError(RuntimeError):
     """Temperature fit failed to converge inside the allowed iterations/bracket."""
 
 
+def _read_csv_of_kind(path, kind: SpectrumKind) -> SampledSpectrum:
+    """Read a spectrum CSV of the given kind; a file with no kind line is taken to be one."""
+    s = read_spectrum_csv(path, default_kind=kind)
+    if s.kind != kind:
+        raise ValueError(f"{path}: file is of kind {s.kind.value!r}, expected {kind.value!r}")
+    return s
+
+
 @dataclass(frozen=True)
 class InstrumentResponse(SampledSpectrum):
     """Relative spectrometer response on a wavelength grid; dimensionless, strictly positive."""
@@ -48,7 +54,7 @@ class InstrumentResponse(SampledSpectrum):
 
     @classmethod
     def from_csv(cls, path) -> "InstrumentResponse":
-        s = read_spectrum_csv(path, default_kind=SpectrumKind.RATIO)
+        s = _read_csv_of_kind(path, SpectrumKind.RATIO)
         return cls(s.wavelengths_nm, s.values)
 
 
@@ -81,6 +87,10 @@ def beam_radius_at_slit(geometry: SlitGeometry, wavelength_nm: float) -> float:
     return wf * np.sqrt(1.0 + spread ** 2)
 
 
+# math.erf per element: grids are a few thousand points at most.
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def slit_transmission(geometry: SlitGeometry, wavelength_nm):
     """Fraction of a Gaussian beam passing a slit of the configured width.
 
@@ -88,7 +98,7 @@ def slit_transmission(geometry: SlitGeometry, wavelength_nm):
     decreasing in wavelength for fixed geometry.
     """
     w = beam_radius_at_slit(geometry, wavelength_nm)
-    t = erf(math.sqrt(2.0) * (geometry.slit_width_m / 2.0) / w)
+    t = np.asarray(_erf(math.sqrt(2.0) * (geometry.slit_width_m / 2.0) / w), dtype=float)
     return float(t) if np.isscalar(wavelength_nm) else t
 
 
@@ -105,7 +115,7 @@ class ReferenceSolarSpectrum(SampledSpectrum):
 
     @classmethod
     def from_csv(cls, path) -> "ReferenceSolarSpectrum":
-        s = read_spectrum_csv(path, default_kind=SpectrumKind.IRRADIANCE_PER_WAVELENGTH)
+        s = _read_csv_of_kind(path, SpectrumKind.IRRADIANCE_PER_WAVELENGTH)
         return cls(s.wavelengths_nm, s.values)
 
     @classmethod
@@ -222,7 +232,7 @@ def calibrate_power(spectrum: SampledSpectrum, measured_power_w: float, band_nm:
         raise ValueError(f"band {band_nm!r} not contained in the sampled grid [{wl[0]}, {wl[-1]}] nm")
     inside = wl[(wl > lo) & (wl < hi)]
     grid = np.concatenate(([lo], inside, [hi]))
-    integral = float(trapezoid(spectrum.interpolate(grid), grid))
+    integral = float(np.trapezoid(spectrum.interpolate(grid), grid))
     if integral <= 0.0:
         raise ValueError("spectrum integrates to zero over the calibration band")
     scale = measured_power_w / integral
@@ -265,7 +275,7 @@ def extract_efficiency(
     if np.count_nonzero(in_band) < 2:
         raise ValueError("efficiency band contains fewer than two samples")
     wb, eb = wl[in_band], eta[in_band]
-    band_average = float(trapezoid(eb, wb) / (wb[-1] - wb[0]))
+    band_average = float(np.trapezoid(eb, wb) / (wb[-1] - wb[0]))
     if np.any(eta > 1.0):
         warnings.warn(
             "efficiency exceeds 1 at some wavelengths: super-thermal, check calibration",

@@ -19,7 +19,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from .radiometry import domega_dlambda
 
@@ -113,7 +112,7 @@ class SampledSpectrum:
         dens = self._wavelength_density()
         wl = self.wavelengths_nm
         if band_nm is None:
-            return float(trapezoid(dens, wl))
+            return float(np.trapezoid(dens, wl))
         lo, hi = band_nm
         if not lo < hi:
             raise ValueError(f"band must satisfy lo < hi, got {band_nm!r}")
@@ -123,7 +122,7 @@ class SampledSpectrum:
             return 0.0
         inside = wl[(wl > lo) & (wl < hi)]
         grid = np.concatenate(([lo], inside, [hi]))
-        return float(trapezoid(np.interp(grid, wl, dens), grid))
+        return float(np.trapezoid(np.interp(grid, wl, dens), grid))
 
 
 def convert_spectral_domain(spectrum: SampledSpectrum, target_kind: SpectrumKind) -> SampledSpectrum:

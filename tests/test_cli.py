@@ -202,6 +202,28 @@ def test_config_file_merge_and_rejection(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+def test_simulate_rejects_tiny_grid(tmp_path):
+    proc = run_cli(
+        "simulate", "--gamma", "11.06", "--eta-sp", "0.74",
+        "--step-duration-s", "1e-3", "--t-max-s", "0.1", "--trajectories", "2",
+        "--grid-points", "1", "--out", str(tmp_path),
+        expect_code=1,
+    )
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "DLASCL" not in proc.stdout + proc.stderr
+
+
+def test_import_loads_no_scipy():
+    code = (
+        "import sys, thermolight, thermolight.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_required_flag_errors(tmp_path):
     proc = run_cli("rate", "--out", str(tmp_path), expect_code=1)
     assert proc.stderr.startswith("error:")

@@ -137,6 +137,13 @@ def test_ensemble_stats_rejects_mixed_configs():
         ensemble_stats(trajs[:1])
 
 
+def test_ensemble_stats_rejects_tiny_grid():
+    trajs = simulate_ensemble(BASE, 2)
+    with pytest.raises(ValueError, match="three grid points"):
+        ensemble_stats(trajs, grid_points=2)
+    assert ensemble_stats(trajs, grid_points=3).n_trajectories == 2
+
+
 def test_cycle_rate_formula():
     ge = BASE.gamma * BASE.eta_sp
     assert cycle_rate(BASE) == pytest.approx(ge / (1.0 + ge * BASE.step_duration_s), rel=1e-12)

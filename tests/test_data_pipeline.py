@@ -24,6 +24,7 @@ from thermolight import (
     planck_irradiance_per_wavelength,
     q1d_psd_per_wavelength,
     slit_transmission,
+    write_spectrum_csv,
 )
 from thermolight.data_pipeline import FitConvergenceError
 
@@ -61,6 +62,24 @@ def test_response_csv_round_trip(tmp_path):
     r = InstrumentResponse.from_csv(path)
     assert np.array_equal(r.wavelengths_nm, [400.0, 500.0, 600.0])
     assert np.array_equal(r.values, [0.5, 0.6, 0.7])
+
+
+def test_csv_of_another_kind_is_rejected(tmp_path):
+    rows = "wavelength_nm,value\n400.0,0.5\n500.0,0.6\n600.0,0.7\n"
+    path = tmp_path / "resp.csv"
+    path.write_text("# kind=ratio\n" + rows)
+    assert InstrumentResponse.from_csv(path).kind == SpectrumKind.RATIO
+    path.write_text("# kind=counts\n" + rows)
+    with pytest.raises(ValueError, match=r"resp\.csv.*'counts'.*'ratio'"):
+        InstrumentResponse.from_csv(path)
+
+    grid = np.arange(350.0, 1101.0, 5.0)
+    path = tmp_path / "ref.csv"
+    write_spectrum_csv(path, SampledSpectrum(grid, np.ones(grid.size), SpectrumKind.RATIO))
+    with pytest.raises(ValueError, match=r"ref\.csv.*'ratio'.*'irradiance_per_wavelength'"):
+        ReferenceSolarSpectrum.from_csv(path)
+    path.write_text("\n".join(["wavelength_nm,value"] + [f"{float(w)!r},1.0" for w in grid]) + "\n")
+    assert ReferenceSolarSpectrum.from_csv(path).kind == SpectrumKind.IRRADIANCE_PER_WAVELENGTH
 
 
 def test_apply_response_identity_and_scale():

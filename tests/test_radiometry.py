@@ -17,6 +17,7 @@ from thermolight import (
     q1d_total_power,
     wien_peak,
 )
+from thermolight.radiometry import _peak_root
 
 # CODATA 2018 exact defining constants, typed out here so the checks do
 # not share a constants module with the implementation.
@@ -143,6 +144,25 @@ def test_wien_peak_locations_at_5800():
     assert wien_peak("planck_per_wavelength", t) == pytest.approx(lam5, rel=1e-9)
     assert abs(wien_peak("q1d_per_wavelength", t) - 879.21) < 0.01
     assert abs(wien_peak("planck_per_wavelength", t) - 499.62) < 0.01
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_peak_root_residual_and_brentq(p):
+    from scipy.optimize import brentq
+
+    x = _peak_root(p)
+
+    def residual(v):
+        return abs((p - v) * math.exp(v) - p)
+
+    # Near the root one ulp of x moves (p - x) e^x by about e^x ulp(x), so
+    # the floor of the residual is a few ulp of p times e^x, and no
+    # neighbouring double does better.
+    assert residual(x) <= 2.0 * math.ulp(float(p)) * math.exp(x)
+    assert residual(x) <= residual(math.nextafter(x, 0.0))
+    assert residual(x) <= residual(math.nextafter(x, math.inf))
+    ref = brentq(lambda v: (p - v) * math.exp(v) - p, 1.0, float(p), xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
+    assert x == pytest.approx(ref, rel=1e-15)
 
 
 def test_wien_peak_monotone_family_has_none():
