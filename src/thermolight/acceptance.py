@@ -104,23 +104,22 @@ def markov_steady_state_occupation(
     geom = np.array(geom)
     geom[-1] += max(0.0, 1.0 - geom.sum())
 
+    # one Poisson term at a time, all start states at once; np.add.at adds
+    # repeated (row, column) pairs in index order, as the element loop did
     p_matrix = np.zeros((size, size))
-    expected_nt = np.zeros(size)   # E[integral of n dt over one cycle | start n]
-    expected_t = np.zeros(size)    # E[cycle duration | start n]
-    for n in range(size):
-        expected_nt[n] = n * tau_i + h * tau_i ** 2 / 2.0
-        expected_t[n] = tau_i
-        for i, pi in enumerate(pois):
-            m_mid = min(n + i, n_max)
-            if m_mid == 0:
-                p_matrix[n, 0] += pi  # empty interval, no transfer possible
-                continue
-            m = m_mid - 1
-            # wait in D: E[n dt] = m/ge + h/ge^2, duration 1/ge
-            expected_nt[n] += pi * (m / ge + h / ge ** 2)
-            expected_t[n] += pi / ge
-            for j, pj in enumerate(geom):
-                p_matrix[n, min(m + j, n_max)] += pi * pj
+    start = np.arange(size)
+    expected_nt = start * tau_i + h * tau_i ** 2 / 2.0  # E[integral of n dt over one cycle | start n]
+    expected_t = np.full(size, tau_i)                    # E[cycle duration | start n]
+    for i, pi in enumerate(pois):
+        m_mid = np.minimum(start + i, n_max)
+        busy = m_mid > 0
+        p_matrix[~busy, 0] += pi  # empty interval, no transfer possible
+        m = m_mid[busy] - 1
+        # wait in D: E[n dt] = m/ge + h/ge^2, duration 1/ge
+        expected_nt[busy] += pi * (m / ge + h / ge ** 2)
+        expected_t[busy] += pi / ge
+        cols = np.minimum(m[:, None] + np.arange(geom.size), n_max)
+        np.add.at(p_matrix, (start[busy, None], cols), pi * geom)
 
     # stationary vector: solve (P^T - I) pi = 0 with sum(pi) = 1
     a = p_matrix.T - np.eye(size)

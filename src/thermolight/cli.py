@@ -20,7 +20,14 @@ import numpy as np
 
 from . import acceptance as acceptance_mod
 from .constants import NM, TWO_PI_C
-from .cooling_sim import CycleConfig, cycle_rate, ensemble_stats, rate_equation_trajectory, simulate_ensemble
+from .cooling_sim import (
+    CycleConfig,
+    cycle_rate,
+    ensemble_counters,
+    ensemble_stats,
+    rate_equation_trajectory,
+    simulate_ensemble,
+)
 from .data_pipeline import (
     InstrumentResponse,
     ReferenceSolarSpectrum,
@@ -368,6 +375,8 @@ def cmd_simulate(args) -> dict:
     )
     if args.trajectories < 2:
         raise ValueError("need at least two trajectories for ensemble statistics")
+    if int(args.grid_points) < 3:
+        raise ValueError(f"need at least three grid points, got {args.grid_points}")
     trajectories = simulate_ensemble(cfg, int(args.trajectories))
     stats = ensemble_stats(trajectories, grid_points=int(args.grid_points))
     ode = rate_equation_trajectory(cfg)
@@ -387,6 +396,7 @@ def cmd_simulate(args) -> dict:
         },
         "renewal_slope_per_s": -cycle_rate(cfg),
         "stats": stats.to_summary_dict(),
+        "counters": ensemble_counters(trajectories),
     }
     path = _out_path(args, "ensemble_summary.json")
     atomic_write_text(path, json.dumps(summary, indent=2) + "\n")

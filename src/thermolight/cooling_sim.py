@@ -7,15 +7,23 @@ instantaneous decay that returns to S with probability eta_SP or back to D
 otherwise. Poisson heating at rate h adds phonons at any time.
 
 All draws come from numpy's PCG64 generator seeded from the config, in a
-fixed order (heating waits within a phase, then the transfer Bernoulli,
-then alternating excitation/heating waits and the branching Bernoulli), so
-a trajectory is bit-reproducible from (config, seed).
+fixed order per cycle, so a trajectory is bit-reproducible from (config,
+seed):
+
+1. at n = 0 with h > 0, one heating wait, which skips the empty intervals
+   before it and is used as the first heating wait of the interval it
+   falls in;
+2. the remaining heating waits within the sideband interval;
+3. the transfer Bernoulli, drawn only when n > 0;
+4. after a transfer, alternating excitation/heating waits in D, each
+   excitation followed by the branching Bernoulli.
 """
 
 from __future__ import annotations
 
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -78,6 +86,12 @@ class CoolingTrajectory:
     (decay through P), which leaves n unchanged, so n moves by at most
     one per event. The first row is the t = 0 initial condition. n(t) is
     piecewise constant, holding its last value until t_max.
+
+    `counters` summarises the run: completed sideband intervals
+    (`cycles`), of which `empty_intervals` ended without a transfer
+    (skipped ones included) and `transfers` with one; `scatters` and
+    `heating_events` are counted from the record; `stop_reason` is
+    `t_max` or `quiescent` (no future event possible).
     """
 
     times_s: np.ndarray
@@ -86,6 +100,7 @@ class CoolingTrajectory:
     seed: int
     t_max_s: float
     config: CycleConfig = field(compare=False)
+    counters: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=float)
@@ -138,40 +153,66 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     clocks are redrawn after every event, which is distributionally exact
     for memoryless processes. With h = 0 the run stops early once no
     future event is possible (ground-state fixed point).
+
+    At a cycle start with n = 0 and h > 0 every interval is empty until
+    the next heating event, so one heating wait is drawn and the run jumps
+    to the start of the interval that contains it (Gillespie 1977; Gibson
+    & Bruck 2000). By memorylessness this leaves the distribution of the
+    trajectory unchanged.
     """
     rng = np.random.default_rng(cfg.seed)
     h = cfg.heating_rate
+    tau = cfg.step_duration_s
     t = 0.0
     n = cfg.n_initial
     times = [0.0]
     numbers = [n]
     states = ["S"]
+    empty_intervals = 0
+    stop_reason = None
 
     def record(time, number, tag):
         times.append(time)
         numbers.append(number)
         states.append(tag)
 
-    done = False
-    while not done:
-        if h == 0.0 and _transfer_probability(cfg, n) == 0.0:
-            break  # quiescent: no heating and the sideband has no effect
+    while stop_reason is None:
+        wait = None  # heating wait already drawn for the coming interval
+        if h == 0.0:
+            # n cannot change inside the interval, so this p serves its end too
+            p = _transfer_probability(cfg, n) if n > 0 else 0.0
+            if p == 0.0:
+                stop_reason = "quiescent"  # no heating and the sideband has no effect
+                break
+        elif n == 0:
+            dt = rng.exponential(1.0 / h)
+            if t + dt >= cfg.t_max_s:
+                empty_intervals += int((cfg.t_max_s - t) // tau)
+                stop_reason = "t_max"
+                break
+            skipped, wait = divmod(dt, tau)
+            t += skipped * tau
+            empty_intervals += int(skipped)
         # step I: deterministic interval with Poisson heating
-        t_end = t + cfg.step_duration_s
+        t_end = t + tau
         horizon = min(t_end, cfg.t_max_s)
         if h > 0.0:
             while True:
-                dt = rng.exponential(1.0 / h)
+                dt = rng.exponential(1.0 / h) if wait is None else wait
+                wait = None
                 if t + dt >= horizon:
                     break
                 t += dt
                 n += 1
                 record(t, n, "S")
         if t_end > cfg.t_max_s:
+            stop_reason = "t_max"
             break
         t = t_end
-        p = _transfer_probability(cfg, n)
+        if h > 0.0:
+            p = _transfer_probability(cfg, n)
         if n == 0 or rng.random() >= p:
+            empty_intervals += 1
             continue  # no transfer this cycle; remain in S
         n -= 1
         record(t, n, "D")
@@ -181,7 +222,7 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
             dt_heat = rng.exponential(1.0 / h) if h > 0.0 else math.inf
             dt = min(dt_exc, dt_heat)
             if t + dt >= cfg.t_max_s:
-                done = True
+                stop_reason = "t_max"
                 break
             t += dt
             if dt_heat < dt_exc:
@@ -192,13 +233,25 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
             if rng.random() < cfg.eta_sp:
                 break  # back in S; cycle complete
 
+    phonons = np.array(numbers, dtype=np.int64)
+    steps = np.diff(phonons)
+    transfers = int(np.count_nonzero(steps < 0))
+    counters = {
+        "cycles": empty_intervals + transfers,
+        "empty_intervals": empty_intervals,
+        "transfers": transfers,
+        "scatters": states.count("P"),
+        "heating_events": int(np.count_nonzero(steps > 0)),
+        "stop_reason": stop_reason,
+    }
     return CoolingTrajectory(
         times_s=np.array(times),
-        phonon_numbers=np.array(numbers, dtype=np.int64),
+        phonon_numbers=phonons,
         states=tuple(states),
         seed=cfg.seed,
         t_max_s=cfg.t_max_s,
         config=cfg,
+        counters=counters,
     )
 
 
@@ -212,6 +265,14 @@ def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
         raise ValueError("need at least one trajectory")
     seeds = np.random.SeedSequence(cfg.seed).generate_state(n_trajectories, dtype=np.uint64)
     return [simulate_trajectory(replace(cfg, seed=int(s))) for s in seeds]
+
+
+def ensemble_counters(trajectories: list) -> dict:
+    """Ensemble totals of the per-trajectory counters, with a count of each stop reason."""
+    counted = ("cycles", "empty_intervals", "transfers", "scatters", "heating_events")
+    totals = {key: sum(tr.counters[key] for tr in trajectories) for key in counted}
+    totals["stop_reasons"] = dict(Counter(tr.counters["stop_reason"] for tr in trajectories))
+    return totals
 
 
 @dataclass(frozen=True)

@@ -135,8 +135,13 @@ def apply_response(raw: SampledSpectrum, response: InstrumentResponse) -> Sample
         raise ValueError("raw spectrum and response share no wavelength overlap")
 
     def spacing(grid):
+        # median step; np.median would import numpy.ma on its first call
         inside = grid[(grid >= lo) & (grid <= hi)]
-        return np.median(np.diff(inside)) if inside.size >= 2 else math.inf
+        if inside.size < 2:
+            return math.inf
+        steps = np.sort(np.diff(inside))
+        mid = steps.size // 2
+        return steps[mid] if steps.size % 2 else 0.5 * (steps[mid - 1] + steps[mid])
 
     raw_dx = spacing(raw.wavelengths_nm)
     resp_dx = spacing(response.wavelengths_nm)

@@ -131,6 +131,11 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert not (a / "trajectory_002.csv").exists()
     summary = json.loads((a / "ensemble_summary.json").read_text())
     assert len(summary["stats"]["mean_n"]) == 51
+    counters = summary["counters"]
+    assert sum(counters["stop_reasons"].values()) == 20
+    assert set(counters["stop_reasons"]) <= {"t_max", "quiescent"}
+    assert counters["cycles"] == counters["empty_intervals"] + counters["transfers"]
+    assert counters["transfers"] > 0 and counters["heating_events"] == 0
     ode_lines = (a / "rate_equation.csv").read_text().splitlines()
     assert ode_lines[0] == "time_s,n"
     t0, n0 = ode_lines[1].split(",")
@@ -212,6 +217,23 @@ def test_simulate_rejects_tiny_grid(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "DLASCL" not in proc.stdout + proc.stderr
+
+
+def test_simulate_validates_before_simulating(tmp_path, monkeypatch, capsys):
+    import thermolight.cli as cli
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was simulated before the flags were checked")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", no_ensemble)
+    for bad in (["--grid-points", "1"], ["--trajectories", "1"]):
+        code = cli.main([
+            "simulate", "--gamma", "11.06", "--eta-sp", "0.74",
+            "--step-duration-s", "1e-3", "--t-max-s", "0.1", "--out", str(tmp_path), *bad,
+        ])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_import_loads_no_scipy():

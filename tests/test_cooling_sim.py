@@ -1,6 +1,7 @@
 """Stochastic cooling-cycle simulator against its analytic oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from thermolight import (
     simulate_trajectory,
 )
 from thermolight.acceptance import markov_steady_state_occupation, renewal_slope
+from thermolight.cooling_sim import ensemble_counters
 
 BASE = CycleConfig(
     gamma=11.06,
@@ -86,6 +88,7 @@ def test_ground_state_is_quiescent():
     grid = np.linspace(0.0, cfg.t_max_s, 11)
     assert np.all(traj.occupation_on_grid(grid) == 0.0)
     assert traj.time_average(0.0, cfg.t_max_s) == 0.0
+    assert traj.counters["stop_reason"] == "quiescent"
 
 
 def test_heating_only_is_poisson():
@@ -108,6 +111,9 @@ def test_heating_only_is_poisson():
     assert abs(finals.var(ddof=1) - want) < 8.0 * stderr * math.sqrt(want)
     for tr in trajs[:10]:
         assert np.all(np.diff(tr.phonon_numbers) == 1)
+        # every interval ends empty, the ones skipped at n = 0 included
+        assert tr.counters["empty_intervals"] in (1999, 2000)
+        assert tr.counters["transfers"] == 0
 
 
 def test_ensemble_reproducibility_and_distinct_members():
@@ -230,3 +236,89 @@ def test_rate_equation_heated_steady_state():
     r = cycle_rate(cfg)
     want = 0.5 * cfg.heating_rate / (r - cfg.heating_rate)
     assert curve.n[-1] == pytest.approx(want, rel=1e-2)
+
+
+HEATED = CycleConfig(
+    gamma=11.06,
+    eta_sp=0.74,
+    step_duration_s=1e-3,
+    t_max_s=3.0,
+    seed=777_005,
+    heating_rate=2.0,
+    n_initial=0,
+)
+
+
+def test_counters_agree_with_the_record():
+    traj = simulate_trajectory(HEATED)
+    c = traj.counters
+    dn = np.diff(traj.phonon_numbers)
+    assert c["transfers"] == np.count_nonzero(dn == -1) > 0
+    assert c["heating_events"] == np.count_nonzero(dn == 1) > 0
+    assert c["scatters"] == traj.states.count("P") > 0
+    assert c["cycles"] == c["empty_intervals"] + c["transfers"]
+    # mostly idle at n = 0: far more intervals than transfers
+    assert c["empty_intervals"] > 10 * c["transfers"]
+    assert c["stop_reason"] == "t_max"
+
+    trajs = simulate_ensemble(HEATED, 5) + [simulate_trajectory(replace(HEATED, heating_rate=0.0))]
+    totals = ensemble_counters(trajs)
+    for key in ("cycles", "empty_intervals", "transfers", "scatters", "heating_events"):
+        assert totals[key] == sum(tr.counters[key] for tr in trajs)
+    assert totals["stop_reasons"] == {"t_max": 5, "quiescent": 1}
+
+
+def test_skip_ahead_transfers_at_the_end_of_the_interval_of_the_first_heating():
+    tau = HEATED.step_duration_s
+    checked = 0
+    for traj in simulate_ensemble(HEATED, 50):
+        if len(traj.times_s) == 1:
+            continue  # no heating before t_max
+        assert traj.states[1] == "S"  # from n = 0 the first event is heating in S
+        t_transfer = math.ceil(traj.times_s[1] / tau) * tau
+        if t_transfer > HEATED.t_max_s:
+            continue
+        k = traj.states.index("D")
+        assert traj.phonon_numbers[k] == 0
+        assert traj.times_s[k] == pytest.approx(t_transfer, rel=1e-12)
+        checked += 1
+    assert checked >= 45
+
+
+def test_first_heating_time_is_exponential():
+    # from n = 0 every interval before the first heating is skipped in one
+    # draw, so the first heating time must still be Exp(h)
+    cfg = CycleConfig(
+        gamma=50.0,
+        eta_sp=1.0,
+        step_duration_s=1e-3,
+        t_max_s=2.5,
+        seed=777_007,
+        heating_rate=6.0,
+        n_initial=0,
+    )
+    trajs = simulate_ensemble(cfg, 2000)
+    first = np.sort([tr.times_s[1] if len(tr.times_s) > 1 else math.inf for tr in trajs])
+    size = first.size
+    cdf = 1.0 - np.exp(-cfg.heating_rate * first)
+    rank = np.arange(1, size + 1)
+    ks = max(np.max(rank / size - cdf), np.max(cdf - (rank - 1) / size))
+    assert ks < 1.95 / math.sqrt(size)  # Kolmogorov-Smirnov, alpha = 0.001
+
+
+def test_long_window_steady_state_matches_markov_chain():
+    # criterion 8's slowest-relaxing triple, averaged well after it settles
+    gamma, eta_sp, tau_i, h = 8.0, 0.90, 0.020, 4.0
+    cfg = CycleConfig(
+        gamma=gamma,
+        eta_sp=eta_sp,
+        step_duration_s=tau_i,
+        t_max_s=15.0,
+        seed=777_006,
+        heating_rate=h,
+        n_initial=0,
+    )
+    averages = np.array([tr.time_average(5.0, 15.0) for tr in simulate_ensemble(cfg, 400)])
+    stderr = averages.std(ddof=1) / math.sqrt(averages.size)
+    want = markov_steady_state_occupation(gamma, eta_sp, tau_i, h)
+    assert abs(averages.mean() - want) <= 4.0 * stderr

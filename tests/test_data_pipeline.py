@@ -1,6 +1,8 @@
 """Spectrometer reduction chain: response, slit, calibration, efficiency, T fit."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +308,18 @@ def test_fit_rejects_degenerate_inputs():
     hot = _q1d_spectrum(t=25000.0)
     with pytest.raises(FitConvergenceError):
         fit_temperature(hot)  # optimum pinned at the bracket edge
+
+
+def test_apply_response_loads_no_numpy_ma():
+    # np.median imports numpy.ma on its first call, about 20 ms of every `reduce`
+    code = (
+        "import sys, numpy as np, thermolight; "
+        "from thermolight import InstrumentResponse, SampledSpectrum, SpectrumKind, apply_response; "
+        "g = np.linspace(400.0, 900.0, 501); "
+        "raw = SampledSpectrum(g, np.ones_like(g), SpectrumKind.COUNTS); "
+        "apply_response(raw, InstrumentResponse(np.linspace(380.0, 1000.0, 125), np.ones(125))); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
