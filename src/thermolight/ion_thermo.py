@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 
@@ -197,21 +198,31 @@ class CoolingRateReport:
     mean_occupation_sun: float
     energy_density: float     # J m^-3 (rad/s)^-1 delivered at omega2
     gamma: float              # D -> P excitation rate, 1/s
+    gamma_over_a_pd: float    # the linear rate below assumes this is << 1
     eta_sp: float
     phonon_rate: float        # phonon/s, negative = cooling
 
 
 def cooling_rate_report(ion: IonSpec, drive: CoolingDrive, t_sun: "Temperature | float") -> CoolingRateReport:
-    """Full estimate chain: delivered energy density -> excitation -> phonon rate."""
+    """Full estimate chain: delivered energy density -> excitation -> phonon rate.
+
+    Warns when Gamma/A_PD exceeds 0.1: the linear Einstein rate holds only
+    while excitation is much slower than the decay it competes with.
+    """
     t = as_temperature(t_sun)
     w2 = AngularFrequency(ion.omega2_rad_s)
     rho = drive.eta_delivery * drive.grayness * planck_energy_density(w2, t)
     gamma = excitation_rate(ion.a_pd_driven, ion.g_e, ion.g_g, w2, rho)
     eta_sp = branching_fraction(ion)
+    ratio = gamma / ion.a_pd_s
+    if ratio > 0.1:
+        warnings.warn(f"Gamma/A_PD = {ratio:.3g} > 0.1: outside the linear regime Gamma << A_PD "
+                      "that the phonon rate assumes", stacklevel=2)
     return CoolingRateReport(
         mean_occupation_sun=mean_occupation(w2, t),
         energy_density=rho,
         gamma=gamma,
+        gamma_over_a_pd=ratio,
         eta_sp=eta_sp,
         phonon_rate=phonon_cooling_rate(gamma, drive.p_d, eta_sp),
     )

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -256,3 +257,131 @@ def test_check_reports_all_criteria(tmp_path):
     lines = [l for l in proc.stdout.splitlines() if l.strip().startswith("PASS")]
     assert len(lines) == 9
     assert "FAIL" not in proc.stdout
+
+
+# -- config files, in process through cli.main ------------------------------
+
+BASE_PARAMS = {
+    "spectrum": {"temperature_k": 5800.0, "family": "q1d", "domain": "wavelength", "points": 11},
+    "simulate": {"gamma": 11.06, "eta_sp": 0.74, "step_duration_s": 1e-3, "t_max_s": 0.05,
+                 "trajectories": 2, "grid_points": 5, "write_trajectories": 1},
+}
+
+
+def as_flags(params):
+    """The command-line spelling of a dict of parameters, written out independently of the CLI."""
+    argv = []
+    for key, value in params.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not False:
+            argv += [flag, *(str(v) for v in (value if isinstance(value, list) else [value]))]
+    return argv
+
+
+def run_main(argv, capsys):
+    """cli.main in this process: (exit status, stdout, stderr), argparse's exits included."""
+    import thermolight.cli as cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_with_config(params, tmp_path, capsys, *argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(params))
+    return run_main([*argv, "--config", str(cfg)], capsys)
+
+
+@pytest.mark.parametrize("command, key, value, has_flag_twin", [
+    ("spectrum", "family", "bogus", True),
+    ("spectrum", "points", 3.5, True),
+    ("spectrum", "band_nm", 5, True),
+    ("simulate", "trajectories", 2.5, True),
+    ("spectrum", "svg", "no", False),
+    ("spectrum", "domain", "bogus", True),
+    ("spectrum", "polarizations", 3, True),
+    ("simulate", "n_initial", 2.0, True),
+    ("simulate", "seed", "abc", True),
+])
+def test_bad_config_value_fails_like_the_flag(tmp_path, capsys, command, key, value, has_flag_twin):
+    params = {k: v for k, v in BASE_PARAMS[command].items() if k != key}
+    out = tmp_path / "out"
+    code, _, err = run_with_config({**params, key: value}, tmp_path, capsys, command, "--out", str(out))
+    flag = "--" + key.replace("_", "-")
+    assert code not in (0, None)
+    assert "Traceback" not in err
+    assert f"error: argument {flag}: " in err.splitlines()[-1]
+    assert not out.exists()
+    if has_flag_twin:
+        twin = tmp_path / "twin"
+        twin_code, _, twin_err = run_main(
+            [command, *as_flags(params), flag, str(value), "--out", str(twin)], capsys)
+        assert (code, err.splitlines()[-1]) == (twin_code, twin_err.splitlines()[-1])
+        assert not twin.exists()
+
+
+def test_config_precedence(tmp_path, capsys):
+    spectrum = {k: v for k, v in BASE_PARAMS["spectrum"].items() if k != "points"}
+    _, out, _ = run_main(["spectrum", *as_flags(spectrum), "--json", "--out", str(tmp_path)], capsys)
+    assert json.loads(out)["points"] == 601  # the default
+    _, out, _ = run_with_config({**spectrum, "points": 21}, tmp_path, capsys,
+                                "spectrum", "--json", "--out", str(tmp_path))
+    assert json.loads(out)["points"] == 21  # config beats the default
+    _, out, _ = run_with_config({**spectrum, "points": 21}, tmp_path, capsys,
+                                "spectrum", "--points", "31", "--json", "--out", str(tmp_path))
+    assert json.loads(out)["points"] == 31  # a flag after the subcommand beats config
+    _, out, _ = run_with_config({**spectrum, "points": None}, tmp_path, capsys,
+                                "spectrum", "--json", "--out", str(tmp_path))
+    assert json.loads(out)["points"] == 601  # null leaves the default
+
+    simulate = {**BASE_PARAMS["simulate"], "write_trajectories": 0}
+
+    def seed_of(params, *argv):
+        code, out, err = run_with_config(params, tmp_path, capsys, *argv, "--json", "--out", str(tmp_path))
+        assert code == 0, err
+        return json.loads(out)["config"]["seed"]
+
+    from thermolight.cli import DEFAULT_SEED
+
+    assert seed_of(simulate, "simulate") == DEFAULT_SEED
+    assert seed_of({**simulate, "seed": 5}, "simulate") == 5
+    assert seed_of({**simulate, "seed": 5}, "--seed", "7", "simulate") == 7
+    assert seed_of({**simulate, "seed": 5}, "simulate", "--seed", "7") == 7
+
+
+@pytest.mark.parametrize("command, params", [
+    ("spectrum", {"temperature_k": 5000.0, "family": "planck", "domain": "omega",
+                  "band_nm": [400.0, 1000.0], "points": 51, "polarizations": 1, "svg": True}),
+    ("simulate", {"gamma": 8.0, "eta_sp": 0.9, "step_duration_s": 0.02, "heating_rate": 4.0,
+                  "n_initial": 3, "t_max_s": 0.5, "trajectories": 4, "grid_points": 21,
+                  "write_trajectories": 2, "seed": 11, "svg": True}),
+])
+def test_config_run_writes_the_same_files_as_flags(tmp_path, capsys, command, params):
+    by_config, by_flags = tmp_path / "config", tmp_path / "flags"
+    code, _, err = run_with_config(params, tmp_path, capsys, command, "--out", str(by_config))
+    assert code == 0, err
+    code, _, err = run_main([command, *as_flags(params), "--out", str(by_flags)], capsys)
+    assert code == 0, err
+    names = sorted(p.name for p in by_flags.iterdir())
+    assert names == sorted(p.name for p in by_config.iterdir()) and len(names) >= 2
+    for name in names:
+        assert (by_config / name).read_bytes() == (by_flags / name).read_bytes(), name
+
+
+def test_rate_flags_gamma_beyond_the_linear_regime(tmp_path, capsys):
+    argv = ["rate", "--ion", "ba138p", "--grayness", "5e-5", "--eta", "0.5", "--json", "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the default case raises no warning
+        code, out, _ = run_main([*argv, "--temperature-k", "5800"], capsys)
+    assert code == 0
+    assert json.loads(out)["gamma_over_a_pd"] == pytest.approx(2.66e-7, rel=0.01)
+    with pytest.warns(UserWarning, match="A_PD"):
+        code, out, _ = run_main([*argv, "--temperature-k", "1e30"], capsys)
+    assert code == 0
+    assert json.loads(out)["gamma_over_a_pd"] == pytest.approx(6.3e20, rel=0.01)
