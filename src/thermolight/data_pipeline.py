@@ -23,10 +23,11 @@ from .constants import NM
 from .radiometry import (
     Temperature,
     as_temperature,
+    is_real,
     planck_irradiance_per_wavelength,
     q1d_psd_per_wavelength,
 )
-from .spectra import SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_csv
+from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_csv
 
 
 class FitConvergenceError(RuntimeError):
@@ -69,8 +70,9 @@ class SlitGeometry:
     def __post_init__(self):
         for label in ("slit_width_m", "distance_m", "mode_field_radius_m"):
             v = getattr(self, label)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (is_real(v) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{label} must be finite and positive, got {v!r}")
+            object.__setattr__(self, label, float(v))
         if self.distance_m < 100.0 * self.mode_field_radius_m:
             warnings.warn(
                 "fiber-to-slit distance is not large against the mode-field radius; "
@@ -229,19 +231,17 @@ def calibrate_power(spectrum: SampledSpectrum, measured_power_w: float, band_nm:
     """
     if not (measured_power_w > 0.0 and math.isfinite(measured_power_w)):
         raise ValueError(f"measured power must be finite and positive, got {measured_power_w!r}")
-    if spectrum.kind in (SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY):
+    if spectrum.kind in PER_WAVELENGTH_TWIN:
         raise ValueError("convert per-angular-frequency input to a per-wavelength kind first")
     lo, hi = band_nm
     wl = spectrum.wavelengths_nm
     if not (lo < hi) or lo < wl[0] or hi > wl[-1]:
         raise ValueError(f"band {band_nm!r} not contained in the sampled grid [{wl[0]}, {wl[-1]}] nm")
-    inside = wl[(wl > lo) & (wl < hi)]
-    grid = np.concatenate(([lo], inside, [hi]))
-    integral = float(np.trapezoid(spectrum.interpolate(grid), grid))
+    shape = SampledSpectrum(wl, spectrum.values, SpectrumKind.PSD_PER_WAVELENGTH, dict(spectrum.meta))
+    integral = shape.band_power(band_nm)
     if integral <= 0.0:
         raise ValueError("spectrum integrates to zero over the calibration band")
-    scale = measured_power_w / integral
-    return SampledSpectrum(wl, spectrum.values * scale, SpectrumKind.PSD_PER_WAVELENGTH, dict(spectrum.meta))
+    return SampledSpectrum(wl, shape.values * (measured_power_w / integral), shape.kind, shape.meta)
 
 
 @dataclass(frozen=True)
@@ -325,13 +325,8 @@ def fit_temperature(
     FitConvergenceError if the bracket cannot be shrunk inside the iteration
     budget or the minimum sits at a bracket edge (degenerate shape).
     """
-    if spectrum.kind in (SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY):
-        target = (
-            SpectrumKind.PSD_PER_WAVELENGTH
-            if spectrum.kind == SpectrumKind.PSD_PER_ANGULAR_FREQUENCY
-            else SpectrumKind.IRRADIANCE_PER_WAVELENGTH
-        )
-        spectrum = convert_spectral_domain(spectrum, target)
+    if spectrum.kind in PER_WAVELENGTH_TWIN:
+        spectrum = convert_spectral_domain(spectrum, PER_WAVELENGTH_TWIN[spectrum.kind])
     wl = spectrum.wavelengths_nm
     y = spectrum.values
     if wl.size < 20:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -19,6 +20,7 @@ from .radiometry import (
     AngularFrequency,
     Temperature,
     as_temperature,
+    is_real,
     mean_occupation,
     omega_value,
     planck_energy_density,
@@ -53,8 +55,9 @@ class IonSpec:
     def __post_init__(self):
         for label in ("omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "a_ps_s", "a_pd_s"):
             v = getattr(self, label)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+            if not (is_real(v) and math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{label} must be finite and positive, got {v!r}")
+            object.__setattr__(self, label, float(v))
         closure = abs(self.omega1_rad_s + self.omega2_rad_s - self.omega3_rad_s)
         if closure > 1e-6 * self.omega3_rad_s:
             raise ValueError(
@@ -66,8 +69,9 @@ class IonSpec:
                 raise ValueError(f"{label} must be an integer >= 1, got {g!r}")
         if self.a_pd_driven_s is not None:
             v = self.a_pd_driven_s
-            if not (math.isfinite(v) and 0.0 < v <= self.a_pd_s):
+            if not (is_real(v) and math.isfinite(v) and 0.0 < v <= self.a_pd_s):
                 raise ValueError(f"a_pd_driven_s must lie in (0, A_PD], got {v!r}")
+            object.__setattr__(self, "a_pd_driven_s", float(v))
         object.__setattr__(self, "references", tuple(self.references))
 
     @property
@@ -121,8 +125,6 @@ class IonSpec:
 
 def load_ion(name_or_path: str = "ba138p") -> IonSpec:
     """Load atomic data from a JSON file path or a bundled data-set name."""
-    import os
-
     if os.path.exists(name_or_path):
         return IonSpec.from_json_file(name_or_path)
     try:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .constants import C, NM, TWO_PI_C
 from .radiometry import omega_value
+from .spectra import atomic_write_text
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -107,8 +108,6 @@ class FiberModeModel:
             return cls.from_json_dict(json.load(fh))
 
     def to_json_file(self, path) -> None:
-        from .spectra import atomic_write_text
-
         atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 

@@ -10,6 +10,7 @@ frequencies or wavelengths (and return an array); temperature is scalar.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,11 @@ _TINY = math.ulp(0.0)
 _EXP_CUT = 700.0
 
 
+def is_real(v) -> bool:
+    """True for a real number, Python's or numpy's; a bool is not a quantity."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class Temperature:
     """Absolute temperature. kelvin > 0, or math.inf for a laser bath."""
@@ -33,7 +39,7 @@ class Temperature:
 
     def __post_init__(self):
         k = self.kelvin
-        if not isinstance(k, (int, float)) or math.isnan(k) or k <= 0.0:
+        if not is_real(k) or math.isnan(k) or k <= 0.0:
             raise ValueError(f"temperature must be positive, got {k!r}")
         object.__setattr__(self, "kelvin", float(k))
 
@@ -64,7 +70,7 @@ class AngularFrequency:
 
     def __post_init__(self):
         w = self.rad_per_s
-        if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0.0:
+        if not is_real(w) or not math.isfinite(w) or w <= 0.0:
             raise ValueError(f"angular frequency must be finite and positive, got {w!r}")
         object.__setattr__(self, "rad_per_s", float(w))
 

@@ -32,15 +32,13 @@ class SpectrumKind(str, enum.Enum):
     RATIO = "ratio"  # dimensionless: responses, transmissions, efficiencies
 
 
-# kinds whose values are densities over a spectral measure
-_PER_OMEGA = {SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY}
-_PER_WAVELENGTH = {SpectrumKind.PSD_PER_WAVELENGTH, SpectrumKind.IRRADIANCE_PER_WAVELENGTH}
-
-# allowed domain conversions: same physical quantity, different measure
-_CONVERSION_PAIRS = {
-    frozenset({SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, SpectrumKind.PSD_PER_WAVELENGTH}),
-    frozenset({SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY, SpectrumKind.IRRADIANCE_PER_WAVELENGTH}),
+# each per-omega density kind -> the same quantity per wavelength; these
+# pairs are the only allowed domain conversions
+PER_WAVELENGTH_TWIN = {
+    SpectrumKind.PSD_PER_ANGULAR_FREQUENCY: SpectrumKind.PSD_PER_WAVELENGTH,
+    SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY: SpectrumKind.IRRADIANCE_PER_WAVELENGTH,
 }
+_PER_WAVELENGTH = set(PER_WAVELENGTH_TWIN.values())
 
 
 def _as_grid(values) -> np.ndarray:
@@ -103,7 +101,7 @@ class SampledSpectrum:
         """Values re-expressed per nm on this grid (exact pointwise Jacobian)."""
         if self.kind in _PER_WAVELENGTH:
             return self.values
-        if self.kind in _PER_OMEGA:
+        if self.kind in PER_WAVELENGTH_TWIN:
             return self.values * domega_dlambda(self.wavelengths_nm)
         raise ValueError(f"kind {self.kind.value!r} is not integrable over wavelength")
 
@@ -135,10 +133,11 @@ def convert_spectral_domain(spectrum: SampledSpectrum, target_kind: SpectrumKind
     target = SpectrumKind(target_kind)
     if target == spectrum.kind:
         return spectrum
-    if frozenset({spectrum.kind, target}) not in _CONVERSION_PAIRS:
+    to_wavelength = PER_WAVELENGTH_TWIN.get(spectrum.kind) == target
+    if not to_wavelength and PER_WAVELENGTH_TWIN.get(target) != spectrum.kind:
         raise ValueError(f"no domain conversion from {spectrum.kind.value!r} to {target.value!r}")
     jac = domega_dlambda(spectrum.wavelengths_nm)
-    values = spectrum.values * jac if spectrum.kind in _PER_OMEGA else spectrum.values / jac
+    values = spectrum.values * jac if to_wavelength else spectrum.values / jac
     return SampledSpectrum(spectrum.wavelengths_nm, values, target, dict(spectrum.meta))
 
 

@@ -23,9 +23,9 @@ from thermolight.data_pipeline import SlitGeometry
 from scipy.integrate import trapezoid
 
 
-def run_cli(*args, expect_code=0):
+def run_cli(*args, expect_code=0, python_flags=()):
     proc = subprocess.run(
-        [sys.executable, "-m", "thermolight", *args],
+        [sys.executable, *python_flags, "-m", "thermolight", *args],
         capture_output=True,
         text=True,
         timeout=120,
@@ -253,10 +253,14 @@ def test_missing_required_flag_errors(tmp_path):
 
 
 def test_check_reports_all_criteria(tmp_path):
-    proc = run_cli("check", "--out", str(tmp_path))
+    # -X importtime makes the fresh interpreter log every module it loads to stderr
+    proc = run_cli("check", "--out", str(tmp_path), python_flags=("-X", "importtime"))
     lines = [l for l in proc.stdout.splitlines() if l.strip().startswith("PASS")]
     assert len(lines) == 9
     assert "FAIL" not in proc.stdout
+    loaded = [l.rsplit("|", 1)[-1].strip() for l in proc.stderr.splitlines() if l.startswith("import time:")]
+    assert "thermolight.acceptance" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 # -- config files, in process through cli.main ------------------------------

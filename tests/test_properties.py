@@ -1,4 +1,4 @@
-"""Property-based invariants: array radiometry, domain conversion, CSV round trips."""
+"""Property-based invariants: array radiometry, domain conversion, CSV round trips, the simulator record."""
 
 import math
 import os
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermolight import (
+    CycleConfig,
     SampledSpectrum,
     SpectrumKind,
     Temperature,
@@ -20,6 +21,7 @@ from thermolight import (
     q1d_psd,
     q1d_psd_per_wavelength,
     read_spectrum_csv,
+    simulate_trajectory,
 )
 from thermolight.spectra import spectrum_to_csv_text
 
@@ -123,3 +125,41 @@ def test_file_without_kind_line_round_trips_with_default_kind(s):
     assert back.kind == SpectrumKind.RATIO
     assert np.array_equal(back.wavelengths_nm, s.wavelengths_nm)
     assert np.array_equal(back.values, s.values)
+
+
+@st.composite
+def cycle_configs(draw):
+    """Small random configs: short runs, few phonons, optional flat transfer probability."""
+    p = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    return CycleConfig(
+        gamma=draw(st.floats(0.5, 200.0)),
+        eta_sp=draw(st.floats(0.0, 1.0)),
+        step_duration_s=draw(st.floats(1e-3, 0.1)),
+        t_max_s=draw(st.floats(1e-3, 0.5)),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        heating_rate=draw(st.one_of(st.just(0.0), st.floats(0.1, 100.0))),
+        n_initial=draw(st.integers(0, 5)),
+        # a flat p(n) also offers a transfer at n = 0, which the simulator must refuse
+        transfer_prob=None if p is None else (lambda n, p=p: p),
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(cfg=cycle_configs())
+def test_simulator_record_invariants(cfg):
+    traj = simulate_trajectory(cfg)
+    t, n, tags = traj.times_s, traj.phonon_numbers, traj.states
+    assert (t[0], n[0], tags[0]) == (0.0, cfg.n_initial, "S")
+    assert np.all(n >= 0)
+    dn = np.diff(n)
+    assert np.all(np.abs(dn) <= 1)
+    assert np.all(np.diff(t) >= 0.0) and t[-1] <= cfg.t_max_s
+    scatters = np.array(tags[1:]) == "P"
+    assert np.all(dn[scatters] == 0)
+    assert all(tag == "D" for tag, step in zip(tags[1:], dn) if step == -1)
+    c = traj.counters
+    assert c["transfers"] == np.count_nonzero(dn == -1)
+    assert c["heating_events"] == np.count_nonzero(dn == 1)
+    assert c["scatters"] == np.count_nonzero(scatters)
+    assert c["cycles"] == c["empty_intervals"] + c["transfers"]
+    assert c["stop_reason"] in (("t_max", "quiescent") if cfg.heating_rate == 0.0 else ("t_max",))

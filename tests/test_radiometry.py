@@ -1,5 +1,6 @@
 """Occupation numbers, spectral densities, and peak locations against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -52,6 +53,17 @@ def test_angular_frequency_round_trip():
             AngularFrequency(bad)
     with pytest.raises(ValueError):
         AngularFrequency.from_wavelength_nm(-400.0)
+
+
+@pytest.mark.parametrize("cls", [Temperature, AngularFrequency])
+@pytest.mark.parametrize("value", [np.float32(300.0), np.int64(300), True], ids=["float32", "int64", "bool"])
+def test_numpy_scalars_are_accepted_and_bools_rejected(cls, value):
+    if isinstance(value, bool):
+        with pytest.raises(ValueError):
+            cls(value)
+        return
+    (stored,) = dataclasses.astuple(cls(value))
+    assert type(stored) is float and stored == 300.0
 
 
 def test_mean_occupation_formula():

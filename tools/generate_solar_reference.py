@@ -14,11 +14,9 @@ Run from a checkout with the package installed:
 """
 
 import io
-import math
 import os
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from thermolight.radiometry import Temperature, planck_irradiance_per_wavelength
 
@@ -52,7 +50,7 @@ def transmission(lam_nm: np.ndarray) -> np.ndarray:
 def main() -> None:
     grid = np.arange(340.0, 1150.0 + 0.5, 1.0)
     dilution = (R_SUN_M / AU_M) ** 2
-    top = np.array([planck_irradiance_per_wavelength(l, T_SUN) for l in grid]) * dilution
+    top = planck_irradiance_per_wavelength(grid, T_SUN) * dilution
     ground = top * transmission(grid)
     buf = io.StringIO()
     buf.write("# kind=irradiance_per_wavelength\n")
@@ -65,7 +63,7 @@ def main() -> None:
         buf.write(f"{wl:.1f},{v:.6e}\n")
     with open(os.path.abspath(TARGET), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(buf.getvalue())
-    total = trapezoid(ground, grid)
+    total = np.trapezoid(ground, grid)
     print(f"wrote {os.path.abspath(TARGET)}: {grid.size} rows, "
           f"band total {total:.1f} W/m^2, peak {ground.max():.3f} W/m^2/nm")
 
