@@ -69,6 +69,7 @@ from .data_pipeline import (
     calibrate_power,
     extract_efficiency,
     fit_temperature,
+    reduce_spectrum,
     slit_transmission,
 )
 from .acceptance import run_all as run_acceptance

@@ -20,12 +20,8 @@ from .data_pipeline import (
     InstrumentResponse,
     ReferenceSolarSpectrum,
     SlitGeometry,
-    apply_response,
-    apply_slit_correction,
     atmospheric_correction,
-    calibrate_power,
-    extract_efficiency,
-    fit_temperature,
+    reduce_spectrum,
     slit_transmission,
 )
 from .ion_thermo import (
@@ -313,19 +309,8 @@ def _criterion_9_pipeline_round_trip() -> CriterionResult:
     counts = delivered * slit_transmission(slit, coarse) * response.interpolate(coarse) * 1e9
     raw = SampledSpectrum(coarse, counts, SpectrumKind.COUNTS)
 
-    shape = apply_slit_correction(apply_response(raw, response), slit)
-    calibrated = calibrate_power(shape, measured_power, band)
-    eff = extract_efficiency(calibrated, t_true, band_nm=band, correction=correction)
+    _, eff, fit = reduce_spectrum(raw, response, slit, measured_power, band, t_true, correction)
     eta_err = abs(eff.band_average - eta_true) / eta_true
-
-    c_on_grid = correction.interpolate(calibrated.wavelengths_nm)
-    fit_mask = c_on_grid >= 0.2
-    flattened = SampledSpectrum(
-        calibrated.wavelengths_nm[fit_mask],
-        calibrated.values[fit_mask] / c_on_grid[fit_mask],
-        SpectrumKind.PSD_PER_WAVELENGTH,
-    )
-    fit = fit_temperature(flattened, model="q1d")
     t_err = abs(fit.temperature.kelvin - t_true.kelvin) / t_true.kelvin
 
     ok = eta_err <= 0.02 and t_err <= 0.01 and 0.6 <= eff.band_average <= 0.9

@@ -34,12 +34,8 @@ from .data_pipeline import (
     InstrumentResponse,
     ReferenceSolarSpectrum,
     SlitGeometry,
-    apply_response,
-    apply_slit_correction,
     atmospheric_correction,
-    calibrate_power,
-    extract_efficiency,
-    fit_temperature,
+    reduce_spectrum,
 )
 from .ion_thermo import (
     BathSet,
@@ -436,18 +432,9 @@ def cmd_reduce(args) -> dict:
         mode_field_radius_m=args.mode_field_radius_um * 1e-6,
     )
     correction = atmospheric_correction(reference, t)
-    shape = apply_slit_correction(apply_response(raw, response), slit)
-    calibrated = calibrate_power(shape, args.power_w, band)
-    efficiency = extract_efficiency(calibrated, t, band_nm=band, correction=correction)
-
-    c_on_grid = correction.interpolate(calibrated.wavelengths_nm)
-    mask = c_on_grid >= 0.2
-    flattened = SampledSpectrum(
-        calibrated.wavelengths_nm[mask],
-        calibrated.values[mask] / c_on_grid[mask],
-        SpectrumKind.PSD_PER_WAVELENGTH,
+    calibrated, efficiency, fit = reduce_spectrum(
+        raw, response, slit, args.power_w, band, t, correction, model=args.fit_model
     )
-    fit = fit_temperature(flattened, model=args.fit_model)
 
     files = {name: _out_path(args, f"{name}.csv") for name in ("calibrated_psd", "efficiency")}
     write_spectrum_csv(files["calibrated_psd"], calibrated)

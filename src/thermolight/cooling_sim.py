@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .ion_thermo import IonSpec
+from .radiometry import int_value, real_value
 from .spectra import atomic_write_text
 
 
@@ -53,20 +54,13 @@ class CycleConfig:
     ion: "IonSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self):
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and positive, got {self.gamma!r}")
-        if not (0.0 <= self.eta_sp <= 1.0):
-            raise ValueError(f"eta_sp must lie in [0, 1], got {self.eta_sp!r}")
-        if not (self.step_duration_s > 0.0 and math.isfinite(self.step_duration_s)):
-            raise ValueError(f"step_duration_s must be finite and positive, got {self.step_duration_s!r}")
-        if not (self.t_max_s > 0.0 and math.isfinite(self.t_max_s)):
-            raise ValueError(f"t_max_s must be finite and positive, got {self.t_max_s!r}")
-        if not (self.heating_rate >= 0.0 and math.isfinite(self.heating_rate)):
-            raise ValueError(f"heating_rate must be finite and non-negative, got {self.heating_rate!r}")
-        if not (isinstance(self.n_initial, int) and self.n_initial >= 0):
-            raise ValueError(f"n_initial must be a non-negative integer, got {self.n_initial!r}")
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "gamma", real_value("gamma", self.gamma))
+        object.__setattr__(self, "eta_sp", real_value("eta_sp", self.eta_sp, 0.0, 1.0, open_lo=False))
+        object.__setattr__(self, "step_duration_s", real_value("step_duration_s", self.step_duration_s))
+        object.__setattr__(self, "t_max_s", real_value("t_max_s", self.t_max_s))
+        object.__setattr__(self, "heating_rate", real_value("heating_rate", self.heating_rate, open_lo=False))
+        object.__setattr__(self, "n_initial", int_value("n_initial", self.n_initial))
+        object.__setattr__(self, "seed", int_value("seed", self.seed, 0, 2 ** 64))
 
 
 def _transfer_probability(cfg: CycleConfig, n: int) -> float:
@@ -261,10 +255,9 @@ def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
     Seeds come from numpy's SeedSequence state expansion, so each member
     can be re-run individually from the integer recorded on it.
     """
-    if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(n_trajectories, dtype=np.uint64)
-    return [simulate_trajectory(replace(cfg, seed=int(s))) for s in seeds]
+    n = int_value("n_trajectories", n_trajectories, 1)
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64)
+    return [simulate_trajectory(replace(cfg, seed=s)) for s in seeds]
 
 
 def ensemble_counters(trajectories: list) -> dict:

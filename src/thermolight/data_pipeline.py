@@ -23,9 +23,9 @@ from .constants import NM
 from .radiometry import (
     Temperature,
     as_temperature,
-    is_real,
     planck_irradiance_per_wavelength,
     q1d_psd_per_wavelength,
+    real_value,
 )
 from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_csv
 
@@ -69,10 +69,7 @@ class SlitGeometry:
 
     def __post_init__(self):
         for label in ("slit_width_m", "distance_m", "mode_field_radius_m"):
-            v = getattr(self, label)
-            if not (is_real(v) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{label} must be finite and positive, got {v!r}")
-            object.__setattr__(self, label, float(v))
+            object.__setattr__(self, label, real_value(label, getattr(self, label)))
         if self.distance_m < 100.0 * self.mode_field_radius_m:
             warnings.warn(
                 "fiber-to-slit distance is not large against the mode-field radius; "
@@ -229,8 +226,7 @@ def calibrate_power(spectrum: SampledSpectrum, measured_power_w: float, band_nm:
     and slit correction, or an already-per-wavelength density); the output
     is a calibrated PSD in W/nm.
     """
-    if not (measured_power_w > 0.0 and math.isfinite(measured_power_w)):
-        raise ValueError(f"measured power must be finite and positive, got {measured_power_w!r}")
+    measured_power_w = real_value("measured_power_w", measured_power_w)
     if spectrum.kind in PER_WAVELENGTH_TWIN:
         raise ValueError("convert per-angular-frequency input to a per-wavelength kind first")
     lo, hi = band_nm
@@ -387,3 +383,35 @@ def fit_temperature(
         iterations=iterations,
         flagged=residual > residual_threshold,
     )
+
+
+# -- the whole chain -----------------------------------------------------
+
+
+def reduce_spectrum(
+    raw: SampledSpectrum,
+    response: InstrumentResponse,
+    slit: SlitGeometry,
+    measured_power_w: float,
+    band_nm: tuple,
+    temperature,
+    correction: AtmosphericCorrection,
+    model: str = "q1d",
+) -> "tuple[SampledSpectrum, EfficiencyCurve, TemperatureFit]":
+    """Raw counts to (calibrated PSD, delivery efficiency, best-fit temperature).
+
+    Divides out the response and the slit clipping, calibrates the power
+    over band_nm, and takes eta against the expected ground-level
+    spectrum. The fit sees the calibrated PSD divided by c(lambda), on the
+    samples where c >= 0.2: inside the deep absorption bands too little
+    light is left for that division to be trusted.
+    """
+    shape = apply_slit_correction(apply_response(raw, response), slit)
+    calibrated = calibrate_power(shape, measured_power_w, band_nm)
+    efficiency = extract_efficiency(calibrated, temperature, band_nm=band_nm, correction=correction)
+    c = correction.interpolate(calibrated.wavelengths_nm)
+    keep = c >= 0.2
+    flattened = SampledSpectrum(
+        calibrated.wavelengths_nm[keep], calibrated.values[keep] / c[keep], SpectrumKind.PSD_PER_WAVELENGTH
+    )
+    return calibrated, efficiency, fit_temperature(flattened, model=model)

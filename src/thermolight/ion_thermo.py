@@ -20,10 +20,11 @@ from .radiometry import (
     AngularFrequency,
     Temperature,
     as_temperature,
-    is_real,
+    int_value,
     mean_occupation,
     omega_value,
     planck_energy_density,
+    real_value,
 )
 
 
@@ -54,25 +55,21 @@ class IonSpec:
 
     def __post_init__(self):
         for label in ("omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "a_ps_s", "a_pd_s"):
-            v = getattr(self, label)
-            if not (is_real(v) and math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{label} must be finite and positive, got {v!r}")
-            object.__setattr__(self, label, float(v))
+            object.__setattr__(self, label, real_value(label, getattr(self, label)))
         closure = abs(self.omega1_rad_s + self.omega2_rad_s - self.omega3_rad_s)
         if closure > 1e-6 * self.omega3_rad_s:
             raise ValueError(
                 f"level closure violated: |omega1 + omega2 - omega3| = {closure:.3g} rad/s"
             )
         for label in ("g_e", "g_g"):
-            g = getattr(self, label)
-            if not (isinstance(g, int) and g >= 1):
-                raise ValueError(f"{label} must be an integer >= 1, got {g!r}")
+            object.__setattr__(self, label, int_value(label, getattr(self, label), 1))
         if self.a_pd_driven_s is not None:
-            v = self.a_pd_driven_s
-            if not (is_real(v) and math.isfinite(v) and 0.0 < v <= self.a_pd_s):
-                raise ValueError(f"a_pd_driven_s must lie in (0, A_PD], got {v!r}")
-            object.__setattr__(self, "a_pd_driven_s", float(v))
-        object.__setattr__(self, "references", tuple(self.references))
+            v = real_value("a_pd_driven_s", self.a_pd_driven_s, hi=self.a_pd_s)
+            object.__setattr__(self, "a_pd_driven_s", v)
+        refs = self.references
+        if not (isinstance(refs, (list, tuple)) and all(isinstance(r, str) for r in refs)):
+            raise ValueError(f"references must be a list of strings, got {refs!r}")
+        object.__setattr__(self, "references", tuple(refs))
 
     @property
     def a_pd_driven(self) -> float:
@@ -95,6 +92,8 @@ class IonSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IonSpec":
+        if not isinstance(d, dict):
+            raise ValueError(f"atomic data must be a JSON object, got {type(d).__name__}")
         unknown = set(d) - set(cls._SCHEMA)
         if unknown:
             raise ValueError(f"unknown atomic-data keys: {sorted(unknown)}")
@@ -102,10 +101,7 @@ class IonSpec:
         missing = required - set(d)
         if missing:
             raise ValueError(f"missing atomic-data keys: {sorted(missing)}")
-        kwargs = {cls._SCHEMA[k]: v for k, v in d.items()}
-        if "references" in kwargs:
-            kwargs["references"] = tuple(kwargs["references"])
-        return cls(**kwargs)
+        return cls(**{cls._SCHEMA[k]: v for k, v in d.items()})
 
     def to_dict(self) -> dict:
         back = {v: k for k, v in self._SCHEMA.items()}
@@ -159,12 +155,9 @@ class CoolingDrive:
     p_d: float = 1.0      # probability of sitting in D when step II light arrives
 
     def __post_init__(self):
-        if not (0.0 < self.eta_delivery <= 1.0):
-            raise ValueError(f"eta_delivery must lie in (0, 1], got {self.eta_delivery!r}")
-        if not (0.0 < self.grayness <= 1.0):
-            raise ValueError(f"grayness must lie in (0, 1], got {self.grayness!r}")
-        if not (0.0 <= self.p_d <= 1.0):
-            raise ValueError(f"p_d must lie in [0, 1], got {self.p_d!r}")
+        object.__setattr__(self, "eta_delivery", real_value("eta_delivery", self.eta_delivery, hi=1.0))
+        object.__setattr__(self, "grayness", real_value("grayness", self.grayness, hi=1.0))
+        object.__setattr__(self, "p_d", real_value("p_d", self.p_d, 0.0, 1.0, open_lo=False))
         object.__setattr__(self, "omega_motion", AngularFrequency(omega_value(self.omega_motion)))
 
 
@@ -179,19 +172,17 @@ def excitation_rate(a_eg: float, g_e: int, g_g: int, omega_eg, rho: float) -> fl
     rho is the isotropic spectral energy density at the transition frequency,
     J m^-3 (rad/s)^-1.
     """
-    if a_eg <= 0.0 or g_e < 1 or g_g < 1:
-        raise ValueError("transition parameters must be positive")
-    if rho < 0.0 or not math.isfinite(rho):
-        raise ValueError(f"energy density must be finite and non-negative, got {rho!r}")
-    return (math.pi ** 2 * C ** 3) / (HBAR * omega_value(omega_eg) ** 3) * (g_e / g_g) * a_eg * rho
+    a_eg = real_value("a_eg", a_eg)
+    g_ratio = int_value("g_e", g_e, 1) / int_value("g_g", g_g, 1)
+    rho = real_value("rho", rho, open_lo=False)
+    return (math.pi ** 2 * C ** 3) / (HBAR * omega_value(omega_eg) ** 3) * g_ratio * a_eg * rho
 
 
 def phonon_cooling_rate(gamma: float, p_d: float, eta_sp: float) -> float:
     """Cycle-averaged phonon rate -Gamma p_D eta_SP; negative means cooling."""
-    if gamma < 0.0:
-        raise ValueError(f"excitation rate must be non-negative, got {gamma!r}")
-    if not (0.0 <= p_d <= 1.0 and 0.0 <= eta_sp <= 1.0):
-        raise ValueError("p_d and eta_sp must lie in [0, 1]")
+    gamma = real_value("gamma", gamma, open_lo=False)
+    p_d = real_value("p_d", p_d, 0.0, 1.0, open_lo=False)
+    eta_sp = real_value("eta_sp", eta_sp, 0.0, 1.0, open_lo=False)
     return -gamma * p_d * eta_sp
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, NM, TWO_PI_C
-from .radiometry import omega_value
+from .radiometry import omega_value, real_value
 from .spectra import atomic_write_text
 
 _FOUR_PI = 4.0 * math.pi
@@ -44,16 +44,14 @@ class FiberModeModel:
     def __post_init__(self):
         if self.regime not in _REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}; expected one of {_REGIMES}")
-        band = tuple(float(b) for b in self.band_nm)
-        if len(band) != 2 or not (0.0 < band[0] < band[1]) or not all(map(math.isfinite, band)):
+        band = tuple(real_value("band_nm", b) for b in self.band_nm)
+        if len(band) != 2 or not band[0] < band[1]:
             raise ValueError(f"band_nm must be (lo, hi) with 0 < lo < hi, got {self.band_nm!r}")
         object.__setattr__(self, "band_nm", band)
         if self.regime == "constant_divergence":
-            if self.omega0_sr is None or not (0.0 < self.omega0_sr <= _FOUR_PI):
-                raise ValueError(f"omega0_sr must lie in (0, 4*pi], got {self.omega0_sr!r}")
+            object.__setattr__(self, "omega0_sr", real_value("omega0_sr", self.omega0_sr, hi=_FOUR_PI))
         elif self.regime == "constant_area":
-            if self.area_m2 is None or not (self.area_m2 > 0.0 and math.isfinite(self.area_m2)):
-                raise ValueError(f"area_m2 must be finite and positive, got {self.area_m2!r}")
+            object.__setattr__(self, "area_m2", real_value("area_m2", self.area_m2))
         else:
             wl = np.asarray(self.table_wavelength_nm, dtype=float)
             ar = np.asarray(self.table_area_m2, dtype=float)
@@ -136,9 +134,7 @@ def mode_solid_angle(model: FiberModeModel, omega) -> float:
 
 def top_hat_area(waist_m: float) -> float:
     """Effective top-hat area pi w0^2 / 2 of a Gaussian focus with waist w0."""
-    if not (waist_m > 0.0 and math.isfinite(waist_m)):
-        raise ValueError(f"waist must be finite and positive, got {waist_m!r}")
-    return math.pi * waist_m ** 2 / 2.0
+    return math.pi * real_value("waist_m", waist_m) ** 2 / 2.0
 
 
 def grayness(area_m2: float, omega) -> float:
@@ -147,8 +143,7 @@ def grayness(area_m2: float, omega) -> float:
     The fraction of the full 4*pi étendue that a single mode focused to
     area A subtends. G > 1 would mean a sub-diffraction-limited area.
     """
-    if not (area_m2 > 0.0 and math.isfinite(area_m2)):
-        raise ValueError(f"area must be finite and positive, got {area_m2!r}")
+    area_m2 = real_value("area_m2", area_m2)
     lam = TWO_PI_C / omega_value(omega)
     g = lam ** 2 / _FOUR_PI / area_m2
     if g > 1.0:
@@ -162,18 +157,13 @@ def focused_energy_density(psd_w_per_rad_s: float, area_m2: float) -> float:
     Units J m^-3 (rad/s)^-1. For a thermal single-mode PSD this equals
     G * planck_energy_density by the étendue closure.
     """
-    if psd_w_per_rad_s < 0.0 or not math.isfinite(psd_w_per_rad_s):
-        raise ValueError(f"PSD must be finite and non-negative, got {psd_w_per_rad_s!r}")
-    if not (area_m2 > 0.0 and math.isfinite(area_m2)):
-        raise ValueError(f"area must be finite and positive, got {area_m2!r}")
-    return psd_w_per_rad_s / (area_m2 * C)
+    psd = real_value("psd_w_per_rad_s", psd_w_per_rad_s, open_lo=False)
+    return psd / (real_value("area_m2", area_m2) * C)
 
 
 def divergence_half_angle(waist_m: float, omega) -> float:
     """Far-field 1/e^2 half angle 2c/(omega w0) of a Gaussian beam, rad."""
-    if not (waist_m > 0.0 and math.isfinite(waist_m)):
-        raise ValueError(f"waist must be finite and positive, got {waist_m!r}")
-    return 2.0 * C / (omega_value(omega) * waist_m)
+    return 2.0 * C / (omega_value(omega) * real_value("waist_m", waist_m))
 
 
 @dataclass(frozen=True)
@@ -188,13 +178,9 @@ class FocusGeometry:
     half_angle_rad: float
 
     def __post_init__(self):
-        if not (self.waist_m > 0.0 and math.isfinite(self.waist_m)):
-            raise ValueError(f"waist must be finite and positive, got {self.waist_m!r}")
-        th = self.half_angle_rad
-        if not (th > 0.0 and math.isfinite(th)):
-            raise ValueError(f"half angle must be finite and positive, got {th!r}")
-        if th > 0.3:
-            raise ValueError(f"half angle {th:.3g} rad exceeds 0.3: paraxial model invalid")
+        object.__setattr__(self, "waist_m", real_value("waist_m", self.waist_m))
+        th = real_value("half_angle_rad", self.half_angle_rad, hi=0.3)
+        object.__setattr__(self, "half_angle_rad", th)
         if th > 0.1:
             warnings.warn(
                 f"half angle {th:.3g} rad exceeds 0.1: paraxial model marginal",
@@ -215,9 +201,9 @@ def gaussian_angular_radiance(omega, theta_rad: float, waist_m: float, psd_w_per
     radiance. Units W m^-2 sr^-1 (rad/s)^-1.
     """
     w = omega_value(omega)
-    if psd_w_per_rad_s < 0.0 or not math.isfinite(psd_w_per_rad_s):
-        raise ValueError(f"PSD must be finite and non-negative, got {psd_w_per_rad_s!r}")
+    psd = real_value("psd_w_per_rad_s", psd_w_per_rad_s, open_lo=False)
+    theta = real_value("theta_rad", theta_rad, -math.inf)
     a_th = top_hat_area(waist_m)
     theta_d = divergence_half_angle(waist_m, w)
-    peak = (psd_w_per_rad_s / a_th) * (2.0 / math.pi) * (w * waist_m / (2.0 * C)) ** 2
-    return peak * math.exp(-2.0 * math.sin(theta_rad) ** 2 / theta_d ** 2)
+    peak = (psd / a_th) * (2.0 / math.pi) * (w * waist_m / (2.0 * C)) ** 2
+    return peak * math.exp(-2.0 * math.sin(theta) ** 2 / theta_d ** 2)

@@ -10,7 +10,6 @@ frequencies or wavelengths (and return an array); temperature is scalar.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,9 +25,33 @@ _TINY = math.ulp(0.0)
 _EXP_CUT = 700.0
 
 
+# Concrete types, not numbers.Real/Integral: an ABC isinstance costs about
+# 1 us, and ensemble runs build a CycleConfig per member.
+_REALS = (float, int, np.floating, np.integer)
+_INTS = (int, np.integer)
+
+
 def is_real(v) -> bool:
     """True for a real number, Python's or numpy's; a bool is not a quantity."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    return isinstance(v, _REALS) and type(v) is not bool
+
+
+def real_value(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo: bool = True) -> float:
+    """v as a float if it is a finite real in (lo, hi], or in [lo, hi] when open_lo is False."""
+    try:
+        if is_real(v) and math.isfinite(v) and (v > lo if open_lo else v >= lo) and v <= hi:
+            return float(v)
+    except OverflowError:  # an int too large for a float
+        pass
+    interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
+    raise ValueError(f"{label} must be a finite real in {interval}, got {v!r}")
+
+
+def int_value(label: str, v, lo: int = 0, hi: "int | float" = math.inf) -> int:
+    """v as an int if it is an integer, Python's or numpy's, with lo <= v < hi."""
+    if isinstance(v, _INTS) and type(v) is not bool and lo <= v < hi:
+        return int(v)
+    raise ValueError(f"{label} must be an integer in [{lo}, {hi}), got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -69,16 +92,11 @@ class AngularFrequency:
     rad_per_s: float
 
     def __post_init__(self):
-        w = self.rad_per_s
-        if not is_real(w) or not math.isfinite(w) or w <= 0.0:
-            raise ValueError(f"angular frequency must be finite and positive, got {w!r}")
-        object.__setattr__(self, "rad_per_s", float(w))
+        object.__setattr__(self, "rad_per_s", real_value("angular frequency", self.rad_per_s))
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float) -> "AngularFrequency":
-        if not (wavelength_nm > 0.0 and math.isfinite(wavelength_nm)):
-            raise ValueError(f"wavelength must be finite and positive, got {wavelength_nm!r}")
-        return cls(TWO_PI_C / (wavelength_nm * NM))
+        return cls(TWO_PI_C / (real_value("wavelength_nm", wavelength_nm) * NM))
 
     @property
     def wavelength_m(self) -> float:
@@ -164,21 +182,19 @@ def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
     one polarization carries half that. The return value is floored at the
     smallest positive double so the deep Wien tail stays positive.
     """
-    if polarizations not in (1, 2):
-        raise ValueError(f"polarizations must be 1 or 2, got {polarizations!r}")
+    pol = int_value("polarizations", polarizations, 1, 3)
     w = omega_value(omega)
-    s = (polarizations / 2.0) * (HBAR * w / math.pi) * mean_occupation(w, temperature)
+    s = (pol / 2.0) * (HBAR * w / math.pi) * mean_occupation(w, temperature)
     return np.maximum(s, _TINY) if np.ndim(s) else max(s, _TINY)
 
 
 def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) -> float:
     """Frequency-integrated single-mode thermal power, pi (k_B T)^2 / (6 hbar) for two polarizations."""
-    if polarizations not in (1, 2):
-        raise ValueError(f"polarizations must be 1 or 2, got {polarizations!r}")
+    pol = int_value("polarizations", polarizations, 1, 3)
     t = as_temperature(temperature)
     if t.is_infinite:
         raise ValueError("integrated power diverges at infinite temperature")
-    return (polarizations / 2.0) * math.pi * (K_B * t.kelvin) ** 2 / (6.0 * HBAR)
+    return (pol / 2.0) * math.pi * (K_B * t.kelvin) ** 2 / (6.0 * HBAR)
 
 
 def q1d_psd_per_wavelength(wavelength_nm, temperature: "Temperature | float", polarizations: int = 2):

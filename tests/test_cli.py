@@ -14,6 +14,7 @@ from thermolight import (
     SampledSpectrum,
     SpectrumKind,
     atmospheric_correction,
+    load_ion,
     q1d_psd_per_wavelength,
     read_spectrum_csv,
     slit_transmission,
@@ -97,6 +98,22 @@ def test_rate_rejects_conflicting_geometry(tmp_path):
         expect_code=1,
     )
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("broken", [
+    lambda d: {**d, "g_e": True},       # a bool is not a degeneracy
+    lambda d: {**d, "A_PS_s": 10 ** 400},  # an integer too large for a float
+    lambda d: {**d, "references": 5},
+    lambda d: [d],                      # not a JSON object
+], ids=["bool-g_e", "huge-A_PS_s", "int-references", "list"])
+def test_rate_rejects_bad_atomic_data(tmp_path, capsys, broken):
+    ion_file = tmp_path / "ion.json"
+    ion_file.write_text(json.dumps(broken(load_ion().to_dict())))
+    code, out, err = run_main(["rate", "--ion", str(ion_file), "--grayness", "5e-5", "--eta", "0.5",
+                               "--temperature-k", "5800", "--out", str(tmp_path / "out")], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_virtual_temp(tmp_path):
