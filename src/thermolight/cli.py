@@ -438,8 +438,7 @@ def cmd_reduce(args) -> dict:
 
     files = {name: _out_path(args, f"{name}.csv") for name in ("calibrated_psd", "efficiency")}
     write_spectrum_csv(files["calibrated_psd"], calibrated)
-    write_spectrum_csv(files["efficiency"],
-                       SampledSpectrum(efficiency.wavelengths_nm, efficiency.values, SpectrumKind.RATIO))
+    write_spectrum_csv(files["efficiency"], efficiency)
     fit_report = {
         "T_K": fit.temperature.kelvin,
         "residual": fit.residual,

@@ -24,12 +24,11 @@ from __future__ import annotations
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .ion_thermo import IonSpec
 from .radiometry import int_value, real_value
 from .spectra import atomic_write_text
 
@@ -51,7 +50,6 @@ class CycleConfig:
     heating_rate: float = 0.0    # Poisson phonon gain, 1/s
     n_initial: int = 0
     transfer_prob: "Callable[[int], float] | None" = None
-    ion: "IonSpec | None" = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", real_value("gamma", self.gamma))
@@ -71,7 +69,7 @@ def _transfer_probability(cfg: CycleConfig, n: int) -> float:
     return p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoolingTrajectory:
     """Event record of one simulated run.
 
@@ -93,8 +91,8 @@ class CoolingTrajectory:
     states: tuple
     seed: int
     t_max_s: float
-    config: CycleConfig = field(compare=False)
-    counters: dict = field(default_factory=dict, compare=False)
+    config: CycleConfig
+    counters: dict
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=float)
@@ -268,7 +266,7 @@ def ensemble_counters(trajectories: list) -> dict:
     return totals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsembleStats:
     grid_s: np.ndarray
     mean_n: np.ndarray
@@ -315,11 +313,13 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     """
     if len(trajectories) < 2:
         raise ValueError("need at least two trajectories")
+    grid_points = int_value("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need at least three grid points, got {grid_points}")
-    ref = replace(trajectories[0].config, seed=0)
+    shared = [f.name for f in fields(CycleConfig) if f.name != "seed"]
+    ref = [getattr(trajectories[0].config, name) for name in shared]
     for traj in trajectories[1:]:
-        if replace(traj.config, seed=0) != ref:
+        if [getattr(traj.config, name) for name in shared] != ref:
             raise ValueError("trajectories come from differing configs")
     t_max = trajectories[0].t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
@@ -373,7 +373,7 @@ def cycle_rate(cfg: CycleConfig) -> float:
     return ge / (1.0 + ge * cfg.step_duration_s)
 
 
-def rate_equation_trajectory(cfg: CycleConfig, max_step_s: "float | None" = None) -> RateCurve:
+def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:
     """Deterministic mean-field companion to the Monte Carlo.
 
     Integrates dn/dt = -R n/(n + 1/2) + h by fixed-step RK4, where R is
@@ -385,8 +385,6 @@ def rate_equation_trajectory(cfg: CycleConfig, max_step_s: "float | None" = None
     dt = cfg.t_max_s / 200.0
     if r > 0.0:
         dt = min(dt, 0.01 / r)
-    if max_step_s is not None:
-        dt = min(dt, max_step_s)
     steps = max(int(math.ceil(cfg.t_max_s / dt)), 1)
     dt = cfg.t_max_s / steps
 

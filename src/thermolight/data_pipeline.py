@@ -31,7 +31,7 @@ from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert
 
 
 class FitConvergenceError(RuntimeError):
-    """Temperature fit failed to converge inside the allowed iterations/bracket."""
+    """Temperature fit found its optimum at a bracket edge, or a non-positive amplitude."""
 
 
 def _read_csv_of_kind(path, kind: SpectrumKind) -> SampledSpectrum:
@@ -42,7 +42,7 @@ def _read_csv_of_kind(path, kind: SpectrumKind) -> SampledSpectrum:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InstrumentResponse(SampledSpectrum):
     """Relative spectrometer response on a wavelength grid; dimensionless, strictly positive."""
 
@@ -101,7 +101,7 @@ def slit_transmission(geometry: SlitGeometry, wavelength_nm):
     return float(t) if np.isscalar(wavelength_nm) else t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceSolarSpectrum(SampledSpectrum):
     """Direct-normal solar irradiance [W m^-2 nm^-1]; must cover 350-1100 nm."""
 
@@ -152,16 +152,16 @@ def apply_response(raw: SampledSpectrum, response: InstrumentResponse) -> Sample
     if np.any(r <= 0.0):
         raise ValueError("response is non-positive inside the analysis band")
     values = raw.interpolate(grid) / r
-    return SampledSpectrum(grid, values, raw.kind, dict(raw.meta))
+    return SampledSpectrum(grid, values, raw.kind)
 
 
 def apply_slit_correction(spectrum: SampledSpectrum, geometry: SlitGeometry) -> SampledSpectrum:
     """Divide out the wavelength-dependent slit transmission on the spectrum's own grid."""
     t = slit_transmission(geometry, spectrum.wavelengths_nm)
-    return SampledSpectrum(spectrum.wavelengths_nm, spectrum.values / t, spectrum.kind, dict(spectrum.meta))
+    return SampledSpectrum(spectrum.wavelengths_nm, spectrum.values / t, spectrum.kind)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class AtmosphericCorrection(SampledSpectrum):
     """Ratio of a measured solar reference to a fitted ideal blackbody, clipped to [0, 1.2].
 
@@ -172,7 +172,6 @@ class AtmosphericCorrection(SampledSpectrum):
     kind: SpectrumKind = field(default=SpectrumKind.RATIO, init=False)
     amplitude: float
     temperature: Temperature
-    fit_band_nm: tuple
 
     def expected_q1d_psd(self, grid_nm=None) -> SampledSpectrum:
         """Expected single-mode PSD at ground level: c(lambda) * S_lambda(lambda, T)."""
@@ -181,39 +180,25 @@ class AtmosphericCorrection(SampledSpectrum):
         return SampledSpectrum(g, self.interpolate(g) * ideal, SpectrumKind.PSD_PER_WAVELENGTH)
 
 
-def atmospheric_correction(
-    reference: ReferenceSolarSpectrum,
-    temperature,
-    fit_band_nm: tuple = (400.0, 900.0),
-    clip_ceiling: float = 1.2,
-) -> AtmosphericCorrection:
+def atmospheric_correction(reference: ReferenceSolarSpectrum, temperature) -> AtmosphericCorrection:
     """Build c(lambda) = ref / (a * Planck_lambda) with a fitted by least squares.
 
-    The single amplitude a minimizes |a * Planck - ref|^2 over the fit band,
+    The single amplitude a minimizes |a * Planck - ref|^2 over 400-900 nm,
     absorbing the sun's solid-angle dilution and any gray loss; the residual
     wavelength dependence is the atmospheric (plus calibration) shape.
     """
     t = as_temperature(temperature)
     wl = reference.wavelengths_nm
     planck = planck_irradiance_per_wavelength(wl, t)
-    lo, hi = fit_band_nm
-    if not lo < hi:
-        raise ValueError(f"fit band must satisfy lo < hi, got {fit_band_nm!r}")
-    in_band = (wl >= lo) & (wl <= hi)
+    in_band = (wl >= 400.0) & (wl <= 900.0)
     if np.count_nonzero(in_band) < 2:
         raise ValueError("fit band contains fewer than two reference samples")
     p, r = planck[in_band], reference.values[in_band]
     amplitude = float(np.dot(p, r) / np.dot(p, p))
     if amplitude <= 0.0:
         raise ValueError("degenerate amplitude fit: reference is not Planck-like in the fit band")
-    c = np.clip(reference.values / (amplitude * planck), 0.0, clip_ceiling)
-    return AtmosphericCorrection(
-        wavelengths_nm=wl,
-        values=c,
-        amplitude=amplitude,
-        temperature=t,
-        fit_band_nm=(float(lo), float(hi)),
-    )
+    c = np.clip(reference.values / (amplitude * planck), 0.0, 1.2)
+    return AtmosphericCorrection(wavelengths_nm=wl, values=c, amplitude=amplitude, temperature=t)
 
 
 # -- calibration and extraction -----------------------------------------
@@ -233,18 +218,18 @@ def calibrate_power(spectrum: SampledSpectrum, measured_power_w: float, band_nm:
     wl = spectrum.wavelengths_nm
     if not (lo < hi) or lo < wl[0] or hi > wl[-1]:
         raise ValueError(f"band {band_nm!r} not contained in the sampled grid [{wl[0]}, {wl[-1]}] nm")
-    shape = SampledSpectrum(wl, spectrum.values, SpectrumKind.PSD_PER_WAVELENGTH, dict(spectrum.meta))
+    shape = SampledSpectrum(wl, spectrum.values, SpectrumKind.PSD_PER_WAVELENGTH)
     integral = shape.band_power(band_nm)
     if integral <= 0.0:
         raise ValueError("spectrum integrates to zero over the calibration band")
-    return SampledSpectrum(wl, shape.values * (measured_power_w / integral), shape.kind, shape.meta)
+    return SampledSpectrum(wl, shape.values * (measured_power_w / integral), shape.kind)
 
 
-@dataclass(frozen=True)
-class EfficiencyCurve:
-    wavelengths_nm: np.ndarray
-    values: np.ndarray
-    band_nm: tuple
+@dataclass(frozen=True, eq=False, kw_only=True)
+class EfficiencyCurve(SampledSpectrum):
+    """Delivery efficiency eta(lambda), dimensionless, with its average over the analysis band."""
+
+    kind: SpectrumKind = field(default=SpectrumKind.RATIO, init=False)
     band_average: float
 
 
@@ -282,7 +267,7 @@ def extract_efficiency(
             "efficiency exceeds 1 at some wavelengths: super-thermal, check calibration",
             stacklevel=2,
         )
-    return EfficiencyCurve(wavelengths_nm=wl, values=eta, band_nm=(float(lo), float(hi)), band_average=band_average)
+    return EfficiencyCurve(wavelengths_nm=wl, values=eta, band_average=band_average)
 
 
 # -- temperature fitting -------------------------------------------------
@@ -300,26 +285,21 @@ class TemperatureFit:
 
 
 def _model_shape(model: str, wavelengths_nm, temperature: Temperature) -> np.ndarray:
-    key = model.lower()
-    if key in ("q1d", "1d"):
+    if model == "q1d":
         return q1d_psd_per_wavelength(wavelengths_nm, temperature)
-    if key in ("3d", "planck"):
+    if model == "3d":
         return planck_irradiance_per_wavelength(wavelengths_nm, temperature)
     raise ValueError(f"unknown model {model!r}; expected 'q1d' or '3d'")
 
 
-def fit_temperature(
-    spectrum: SampledSpectrum,
-    model: str = "q1d",
-    bracket_k: tuple = (1000.0, 20000.0),
-    max_iterations: int = 200,
-    residual_threshold: float = 0.05,
-) -> TemperatureFit:
-    """Golden-section search on T with the amplitude solved linearly at each step.
+def fit_temperature(spectrum: SampledSpectrum, model: str = "q1d") -> TemperatureFit:
+    """Golden-section search on T in 1000-20000 K, the amplitude solved linearly at each step.
 
-    Needs at least 20 samples spanning a factor 1.5 in wavelength. Raises
-    FitConvergenceError if the bracket cannot be shrunk inside the iteration
-    budget or the minimum sits at a bracket edge (degenerate shape).
+    Needs at least 20 samples spanning a factor 1.5 in wavelength. The
+    search shrinks the fixed bracket to 1e-7 relative, which takes 34 to 40
+    steps whatever the data. Raises FitConvergenceError if the minimum sits
+    at a bracket edge (degenerate shape) or the amplitude is not positive.
+    A residual above 0.05 sets `flagged`.
     """
     if spectrum.kind in PER_WAVELENGTH_TWIN:
         spectrum = convert_spectral_domain(spectrum, PER_WAVELENGTH_TWIN[spectrum.kind])
@@ -329,9 +309,7 @@ def fit_temperature(
         raise ValueError(f"temperature fit needs at least 20 samples, got {wl.size}")
     if wl[-1] / wl[0] < 1.5:
         raise ValueError("temperature fit needs a wavelength span of at least a factor 1.5")
-    lo, hi = (float(b) for b in bracket_k)
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket_k!r}")
+    lo, hi = 1000.0, 20000.0
     y_norm = math.sqrt(float(np.mean(y ** 2)))
     if y_norm == 0.0:
         raise ValueError("spectrum is identically zero")
@@ -353,10 +331,6 @@ def fit_temperature(
     iterations = 0
     while (b_k - a_k) > 1e-7 * (a_k + b_k) / 2.0:
         iterations += 1
-        if iterations > max_iterations:
-            raise FitConvergenceError(
-                f"temperature fit did not converge in {max_iterations} iterations"
-            )
         if f_c < f_d:
             b_k, d_k, f_d = d_k, c_k, f_c
             c_k = b_k - _GOLDEN * (b_k - a_k)
@@ -381,7 +355,7 @@ def fit_temperature(
         residual=residual,
         amplitude=amplitude,
         iterations=iterations,
-        flagged=residual > residual_threshold,
+        flagged=residual > 0.05,
     )
 
 

@@ -90,6 +90,8 @@ class FiberModeModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiberModeModel":
+        if not isinstance(d, dict):
+            raise ValueError(f"mode model must be a JSON object, got {type(d).__name__}")
         known = {"regime", "band_nm", "omega0_sr", "area_m2", "table_wavelength_nm", "table_area_m2"}
         unknown = set(d) - known
         if unknown:

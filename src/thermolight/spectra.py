@@ -16,7 +16,7 @@ import enum
 import io
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,18 +48,19 @@ def _as_grid(values) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledSpectrum:
     """A spectral quantity sampled on a wavelength grid.
 
     wavelengths_nm strictly increasing and positive; values finite and
-    non-negative, same length; kind fixes the units of `values`.
+    non-negative, same length; kind fixes the units of `values`. Spectra
+    compare and hash by identity, as the arrays they hold have no single
+    truth value.
     """
 
     wavelengths_nm: np.ndarray
     values: np.ndarray
     kind: SpectrumKind
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         wl = _as_grid(self.wavelengths_nm)
@@ -93,7 +94,7 @@ class SampledSpectrum:
 
     def resample(self, grid_nm) -> "SampledSpectrum":
         g = _as_grid(grid_nm)
-        return SampledSpectrum(g, self.interpolate(g), self.kind, dict(self.meta))
+        return SampledSpectrum(g, self.interpolate(g), self.kind)
 
     # -- integration -----------------------------------------------------
 
@@ -138,7 +139,7 @@ def convert_spectral_domain(spectrum: SampledSpectrum, target_kind: SpectrumKind
         raise ValueError(f"no domain conversion from {spectrum.kind.value!r} to {target.value!r}")
     jac = domega_dlambda(spectrum.wavelengths_nm)
     values = spectrum.values * jac if to_wavelength else spectrum.values / jac
-    return SampledSpectrum(spectrum.wavelengths_nm, values, target, dict(spectrum.meta))
+    return SampledSpectrum(spectrum.wavelengths_nm, values, target)
 
 
 # -- CSV I/O -------------------------------------------------------------

@@ -35,9 +35,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def line_plot(series, xlabel: str, ylabel: str, title: str = "",
-              width: int = 640, height: int = 420) -> str:
-    """Render [(x, y, label), ...] as an SVG document string."""
+def line_plot(series, xlabel: str, ylabel: str, title: str) -> str:
+    """Render [(x, y, label), ...] as a 640 x 420 SVG document string."""
+    width, height = 640, 420
     ml, mr, mt, mb = 78, 16, 30, 46
     pw, ph = width - ml - mr, height - mt - mb
     xs = np.concatenate([np.asarray(s[0], dtype=float) for s in series])
@@ -79,8 +79,7 @@ def line_plot(series, xlabel: str, ylabel: str, title: str = "",
             parts.append(f'<line x1="{ml + pw - 120}" y1="{ly - 4}" x2="{ml + pw - 100}" y2="{ly - 4}" '
                          f'stroke="{color}" stroke-width="1.5"/>')
             parts.append(f'<text x="{ml + pw - 95}" y="{ly}">{label}</text>')
-    if title:
-        parts.append(f'<text x="{ml + pw / 2}" y="{mt - 10}" text-anchor="middle" font-size="13">{title}</text>')
+    parts.append(f'<text x="{ml + pw / 2}" y="{mt - 10}" text-anchor="middle" font-size="13">{title}</text>')
     parts.append(f'<text x="{ml + pw / 2}" y="{height - 10}" text-anchor="middle">{xlabel}</text>')
     parts.append(
         f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '

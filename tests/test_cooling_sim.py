@@ -150,6 +150,21 @@ def test_ensemble_stats_rejects_tiny_grid():
     assert ensemble_stats(trajs, grid_points=3).n_trajectories == 2
 
 
+def test_ensemble_stats_rejects_fractional_grid():
+    trajs = simulate_ensemble(BASE, 2)
+    with pytest.raises(ValueError, match="grid_points"):
+        ensemble_stats(trajs, grid_points=50.5)
+
+
+def test_trajectories_and_stats_compare_by_identity():
+    trajs = simulate_ensemble(replace(BASE, t_max_s=0.1), 2)
+    stats = ensemble_stats(trajs, grid_points=3)
+    for record in (trajs[0], stats):
+        assert record == record
+        assert record in {record}
+    assert trajs[0] != trajs[1]
+
+
 def test_cycle_rate_formula():
     ge = BASE.gamma * BASE.eta_sp
     assert cycle_rate(BASE) == pytest.approx(ge / (1.0 + ge * BASE.step_duration_s), rel=1e-12)

@@ -103,6 +103,12 @@ def test_model_json_round_trip(tmp_path):
         FiberModeModel.from_json_dict({**model.to_json_dict(), "surprise": 1})
 
 
+@pytest.mark.parametrize("document", [5, [1]])
+def test_model_json_must_be_an_object(document):
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        FiberModeModel.from_json_dict(document)
+
+
 def test_tabulated_json_round_trip(tmp_path):
     model = FiberModeModel(
         regime="tabulated",

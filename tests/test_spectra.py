@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from thermolight import (
+    InstrumentResponse,
     SampledSpectrum,
     SpectrumKind,
     convert_spectral_domain,
@@ -23,6 +24,15 @@ def _psd_lambda(t=5800.0, lo=400.0, hi=900.0, n=501):
     grid = np.linspace(lo, hi, n)
     vals = np.array([q1d_psd_per_wavelength(l, t) for l in grid])
     return SampledSpectrum(grid, vals, SpectrumKind.PSD_PER_WAVELENGTH)
+
+
+def test_spectra_compare_and_hash_by_identity():
+    s = _psd_lambda(n=11)
+    response = InstrumentResponse(s.wavelengths_nm, np.ones(11))
+    for spectrum in (s, response):
+        assert spectrum == spectrum
+        assert spectrum in {spectrum}
+    assert s != SampledSpectrum(s.wavelengths_nm, s.values, s.kind)
 
 
 def test_grid_validation():
