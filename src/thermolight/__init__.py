@@ -10,6 +10,7 @@ from .radiometry import (
     Temperature,
     mean_occupation,
     planck_energy_density,
+    planck_irradiance,
     planck_irradiance_per_wavelength,
     planck_radiance,
     q1d_psd,

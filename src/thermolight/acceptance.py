@@ -309,7 +309,7 @@ def _criterion_9_pipeline_round_trip() -> CriterionResult:
     counts = delivered * slit_transmission(slit, coarse) * response.interpolate(coarse) * 1e9
     raw = SampledSpectrum(coarse, counts, SpectrumKind.COUNTS)
 
-    _, eff, fit = reduce_spectrum(raw, response, slit, measured_power, band, t_true, correction)
+    _, eff, fit = reduce_spectrum(raw, response, slit, measured_power, band, correction)
     eta_err = abs(eff.band_average - eta_true) / eta_true
     t_err = abs(fit.temperature.kelvin - t_true.kelvin) / t_true.kelvin
 

@@ -50,8 +50,8 @@ from .mode_optics import grayness, top_hat_area
 from .radiometry import (
     AngularFrequency,
     Temperature,
+    planck_irradiance,
     planck_irradiance_per_wavelength,
-    planck_radiance,
     q1d_psd,
     q1d_psd_per_wavelength,
     wien_peak,
@@ -229,6 +229,16 @@ def _print_report(report: dict, as_json: bool) -> None:
 # -- subcommands ---------------------------------------------------------
 
 
+# (family, domain) -> (kind, density(x, temperature, polarizations)), x in rad/s or nm by domain
+_SPECTRA = {
+    ("q1d", "omega"): (SpectrumKind.PSD_PER_ANGULAR_FREQUENCY, q1d_psd),
+    ("q1d", "wavelength"): (SpectrumKind.PSD_PER_WAVELENGTH, q1d_psd_per_wavelength),
+    ("planck", "omega"): (SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY, lambda w, t, _: planck_irradiance(w, t)),
+    ("planck", "wavelength"): (SpectrumKind.IRRADIANCE_PER_WAVELENGTH,
+                               lambda lam, t, _: planck_irradiance_per_wavelength(lam, t)),
+}
+
+
 def cmd_spectrum(args) -> dict:
     _require(args, "temperature_k", "family", "domain")
     lo, hi = args.band_nm
@@ -238,38 +248,23 @@ def cmd_spectrum(args) -> dict:
         raise ValueError("need at least two grid points")
     t = Temperature(args.temperature_k)
     grid = np.linspace(lo, hi, args.points)
-    omega = TWO_PI_C / (grid * NM)
-    if args.family == "q1d":
-        if args.domain == "omega":
-            kind = SpectrumKind.PSD_PER_ANGULAR_FREQUENCY
-            values = q1d_psd(omega, t, args.polarizations)
-        else:
-            kind = SpectrumKind.PSD_PER_WAVELENGTH
-            values = q1d_psd_per_wavelength(grid, t, args.polarizations)
-        family_key = "q1d"
-    else:
-        if args.domain == "omega":
-            kind = SpectrumKind.IRRADIANCE_PER_ANGULAR_FREQUENCY
-            values = math.pi * planck_radiance(omega, t)
-        else:
-            kind = SpectrumKind.IRRADIANCE_PER_WAVELENGTH
-            values = planck_irradiance_per_wavelength(grid, t)
-        family_key = "planck"
+    kind, density = _SPECTRA[args.family, args.domain]
+    values = density(TWO_PI_C / (grid * NM) if args.domain == "omega" else grid, t, args.polarizations)
     spectrum = SampledSpectrum(grid, values, kind)
-    csv_path = _out_path(args, f"spectrum_{family_key}_per_{args.domain}.csv")
+    csv_path = _out_path(args, f"spectrum_{args.family}_per_{args.domain}.csv")
     write_spectrum_csv(csv_path, spectrum)
     svg_path = None
     if args.svg:
-        svg_path = _out_path(args, f"spectrum_{family_key}_per_{args.domain}.svg")
+        svg_path = _out_path(args, f"spectrum_{args.family}_per_{args.domain}.svg")
         atomic_write_text(svg_path, line_plot(
             [(grid, values, "")],
             "wavelength [nm]", kind.value.replace("_", " "),
-            f"{family_key} spectrum at {t.kelvin:g} K",
+            f"{args.family} spectrum at {t.kelvin:g} K",
         ))
-    peak = wien_peak(f"{family_key}_per_{args.domain}", t)
+    peak = wien_peak(f"{args.family}_per_{args.domain}", t)
     return {
         "command": "spectrum",
-        "family": family_key,
+        "family": args.family,
         "domain": args.domain,
         "temperature_k": t.kelvin,
         "kind": kind.value,
@@ -433,7 +428,7 @@ def cmd_reduce(args) -> dict:
     )
     correction = atmospheric_correction(reference, t)
     calibrated, efficiency, fit = reduce_spectrum(
-        raw, response, slit, args.power_w, band, t, correction, model=args.fit_model
+        raw, response, slit, args.power_w, band, correction, model=args.fit_model
     )
 
     files = {name: _out_path(args, f"{name}.csv") for name in ("calibrated_psd", "efficiency")}

@@ -89,8 +89,6 @@ class CoolingTrajectory:
     times_s: np.ndarray
     phonon_numbers: np.ndarray
     states: tuple
-    seed: int
-    t_max_s: float
     config: CycleConfig
     counters: dict
 
@@ -114,15 +112,11 @@ class CoolingTrajectory:
 
     def time_average(self, t0: float, t1: float) -> float:
         """Time average of the piecewise-constant n over [t0, t1]."""
-        if not (0.0 <= t0 < t1 <= self.t_max_s + 1e-12):
-            raise ValueError(f"window [{t0}, {t1}] outside [0, {self.t_max_s}]")
+        if not (0.0 <= t0 < t1 <= self.config.t_max_s + 1e-12):
+            raise ValueError(f"window [{t0}, {t1}] outside [0, {self.config.t_max_s}]")
         edges = np.concatenate(([t0], self.times_s[(self.times_s > t0) & (self.times_s < t1)], [t1]))
         vals = self.occupation_on_grid(edges[:-1])
         return float(np.sum(vals * np.diff(edges)) / (t1 - t0))
-
-    @property
-    def last_quartile_average(self) -> float:
-        return self.time_average(0.75 * self.t_max_s, self.t_max_s)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -240,8 +234,6 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
         times_s=np.array(times),
         phonon_numbers=phonons,
         states=tuple(states),
-        seed=cfg.seed,
-        t_max_s=cfg.t_max_s,
         config=cfg,
         counters=counters,
     )
@@ -250,8 +242,8 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
 def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
     """Independent trajectories with per-member seeds derived from cfg.seed.
 
-    Seeds come from numpy's SeedSequence state expansion, so each member
-    can be re-run individually from the integer recorded on it.
+    Seeds come from numpy's SeedSequence state expansion; each member
+    re-runs bit for bit from the config recorded on it.
     """
     n = int_value("n_trajectories", n_trajectories, 1)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64)
@@ -309,7 +301,7 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     All trajectories begin a transfer interval together at t = 0, so the
     ensemble mean is phase-locked and steeper than the sustained cooling
     rate until the exponential waits decorrelate the cycles; skipping
-    step_duration_s + 1/(gamma * eta_sp) removes that bias.
+    one busy-cycle period 1/cycle_rate removes that bias.
     """
     if len(trajectories) < 2:
         raise ValueError("need at least two trajectories")
@@ -321,19 +313,17 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     for traj in trajectories[1:]:
         if [getattr(traj.config, name) for name in shared] != ref:
             raise ValueError("trajectories come from differing configs")
-    t_max = trajectories[0].t_max_s
+    t_max = trajectories[0].config.t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
     samples = np.vstack([traj.occupation_on_grid(grid) for traj in trajectories])
     mean_n = samples.mean(axis=0)
     var_n = samples.var(axis=0)
 
-    quartiles = np.array([traj.last_quartile_average for traj in trajectories])
+    quartiles = np.array([traj.time_average(0.75 * t_max, t_max) for traj in trajectories])
     steady = float(quartiles.mean())
     steady_err = float(quartiles.std(ddof=1) / math.sqrt(len(trajectories)))
 
-    cfg = trajectories[0].config
-    cycle_s = cfg.step_duration_s + 1.0 / (cfg.gamma * cfg.eta_sp)
-    start = int(np.searchsorted(grid, cycle_s))
+    start = int(np.searchsorted(grid, 1.0 / cycle_rate(trajectories[0].config)))
     n0 = mean_n[0]
     target = n0 - 0.2 * (n0 - steady)
     below = np.nonzero(mean_n <= target)[0] if target < n0 else np.array([], dtype=int)

@@ -34,16 +34,20 @@ class FitConvergenceError(RuntimeError):
     """Temperature fit found its optimum at a bracket edge, or a non-positive amplitude."""
 
 
-def _read_csv_of_kind(path, kind: SpectrumKind) -> SampledSpectrum:
-    """Read a spectrum CSV of the given kind; a file with no kind line is taken to be one."""
-    s = read_spectrum_csv(path, default_kind=kind)
-    if s.kind != kind:
-        raise ValueError(f"{path}: file is of kind {s.kind.value!r}, expected {kind.value!r}")
-    return s
+class _FixedKindSpectrum(SampledSpectrum):
+    """A spectrum whose subclass fixes its kind, read from a CSV file of that kind."""
+
+    @classmethod
+    def from_csv(cls, path):
+        """Read a spectrum CSV of the class's kind; a file with no kind line is taken to be one."""
+        s = read_spectrum_csv(path, default_kind=cls.kind)
+        if s.kind != cls.kind:
+            raise ValueError(f"{path}: file is of kind {s.kind.value!r}, expected {cls.kind.value!r}")
+        return cls(s.wavelengths_nm, s.values)
 
 
 @dataclass(frozen=True, eq=False)
-class InstrumentResponse(SampledSpectrum):
+class InstrumentResponse(_FixedKindSpectrum):
     """Relative spectrometer response on a wavelength grid; dimensionless, strictly positive."""
 
     kind: SpectrumKind = field(default=SpectrumKind.RATIO, init=False)
@@ -52,11 +56,6 @@ class InstrumentResponse(SampledSpectrum):
         super().__post_init__()
         if np.any(self.values <= 0.0):
             raise ValueError("response values must be strictly positive")
-
-    @classmethod
-    def from_csv(cls, path) -> "InstrumentResponse":
-        s = _read_csv_of_kind(path, SpectrumKind.RATIO)
-        return cls(s.wavelengths_nm, s.values)
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ def slit_transmission(geometry: SlitGeometry, wavelength_nm):
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceSolarSpectrum(SampledSpectrum):
+class ReferenceSolarSpectrum(_FixedKindSpectrum):
     """Direct-normal solar irradiance [W m^-2 nm^-1]; must cover 350-1100 nm."""
 
     kind: SpectrumKind = field(default=SpectrumKind.IRRADIANCE_PER_WAVELENGTH, init=False)
@@ -111,11 +110,6 @@ class ReferenceSolarSpectrum(SampledSpectrum):
         super().__post_init__()
         if self.wavelengths_nm[0] > 350.0 or self.wavelengths_nm[-1] < 1100.0:
             raise ValueError("reference spectrum must cover at least [350, 1100] nm")
-
-    @classmethod
-    def from_csv(cls, path) -> "ReferenceSolarSpectrum":
-        s = _read_csv_of_kind(path, SpectrumKind.IRRADIANCE_PER_WAVELENGTH)
-        return cls(s.wavelengths_nm, s.values)
 
     @classmethod
     def load_bundled(cls) -> "ReferenceSolarSpectrum":
@@ -148,10 +142,7 @@ def apply_response(raw: SampledSpectrum, response: InstrumentResponse) -> Sample
     grid = source[(source >= lo) & (source <= hi)]
     if grid.size < 2:
         raise ValueError("overlap between raw spectrum and response is too narrow")
-    r = response.interpolate(grid)
-    if np.any(r <= 0.0):
-        raise ValueError("response is non-positive inside the analysis band")
-    values = raw.interpolate(grid) / r
+    values = raw.interpolate(grid) / response.interpolate(grid)
     return SampledSpectrum(grid, values, raw.kind)
 
 
@@ -368,21 +359,20 @@ def reduce_spectrum(
     slit: SlitGeometry,
     measured_power_w: float,
     band_nm: tuple,
-    temperature,
     correction: AtmosphericCorrection,
     model: str = "q1d",
 ) -> "tuple[SampledSpectrum, EfficiencyCurve, TemperatureFit]":
     """Raw counts to (calibrated PSD, delivery efficiency, best-fit temperature).
 
     Divides out the response and the slit clipping, calibrates the power
-    over band_nm, and takes eta against the expected ground-level
-    spectrum. The fit sees the calibrated PSD divided by c(lambda), on the
-    samples where c >= 0.2: inside the deep absorption bands too little
-    light is left for that division to be trusted.
+    over band_nm, and takes eta against the ground-level spectrum expected
+    at the correction's temperature. The fit sees the calibrated PSD over
+    c(lambda), on the samples where c >= 0.2: inside the deep absorption
+    bands too little light is left for that division to be trusted.
     """
     shape = apply_slit_correction(apply_response(raw, response), slit)
     calibrated = calibrate_power(shape, measured_power_w, band_nm)
-    efficiency = extract_efficiency(calibrated, temperature, band_nm=band_nm, correction=correction)
+    efficiency = extract_efficiency(calibrated, correction.temperature, band_nm=band_nm, correction=correction)
     c = correction.interpolate(calibrated.wavelengths_nm)
     keep = c >= 0.2
     flattened = SampledSpectrum(

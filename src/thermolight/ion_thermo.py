@@ -54,6 +54,8 @@ class IonSpec:
     references: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         for label in ("omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "a_ps_s", "a_pd_s"):
             object.__setattr__(self, label, real_value(label, getattr(self, label)))
         closure = abs(self.omega1_rad_s + self.omega2_rad_s - self.omega3_rad_s)

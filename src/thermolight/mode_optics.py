@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,7 +20,19 @@ from .spectra import atomic_write_text
 
 _FOUR_PI = 4.0 * math.pi
 
-_REGIMES = ("constant_divergence", "constant_area", "tabulated")
+# regime -> the fields it takes besides regime and band_nm
+_REGIME_FIELDS = {
+    "constant_divergence": ("omega0_sr",),
+    "constant_area": ("area_m2",),
+    "tabulated": ("table_wavelength_nm", "table_area_m2"),
+}
+
+
+def _real_tuple(label: str, values) -> tuple:
+    """A one-dimensional sequence of finite positive reals, as a tuple of floats."""
+    if np.ndim(values) != 1:
+        raise ValueError(f"{label} must be a list of numbers, got {values!r}")
+    return tuple(real_value(label, v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -31,20 +43,25 @@ class FiberModeModel:
     independent, A = lambda^2 / omega0_sr. regime 'constant_area': A is
     fixed at area_m2. regime 'tabulated': A interpolated linearly from a
     measured table. band_nm bounds the wavelengths the model may be
-    evaluated at.
+    evaluated at. A model leaves the other regimes' fields None; it holds
+    its tables as tuples, so it compares and hashes by value.
     """
 
     regime: str
     band_nm: tuple
     omega0_sr: "float | None" = None
     area_m2: "float | None" = None
-    table_wavelength_nm: "np.ndarray | None" = None
-    table_area_m2: "np.ndarray | None" = None
+    table_wavelength_nm: "tuple | None" = None
+    table_area_m2: "tuple | None" = None
 
     def __post_init__(self):
-        if self.regime not in _REGIMES:
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of {_REGIMES}")
-        band = tuple(real_value("band_nm", b) for b in self.band_nm)
+        if not isinstance(self.regime, str) or self.regime not in _REGIME_FIELDS:
+            raise ValueError(f"unknown regime {self.regime!r}; expected one of {tuple(_REGIME_FIELDS)}")
+        stray = [name for regime, names in _REGIME_FIELDS.items() if regime != self.regime
+                 for name in names if getattr(self, name) is not None]
+        if stray:
+            raise ValueError(f"regime {self.regime!r} takes no {', '.join(stray)}")
+        band = _real_tuple("band_nm", self.band_nm)
         if len(band) != 2 or not band[0] < band[1]:
             raise ValueError(f"band_nm must be (lo, hi) with 0 < lo < hi, got {self.band_nm!r}")
         object.__setattr__(self, "band_nm", band)
@@ -53,18 +70,14 @@ class FiberModeModel:
         elif self.regime == "constant_area":
             object.__setattr__(self, "area_m2", real_value("area_m2", self.area_m2))
         else:
-            wl = np.asarray(self.table_wavelength_nm, dtype=float)
-            ar = np.asarray(self.table_area_m2, dtype=float)
-            if wl.ndim != 1 or wl.size < 2 or ar.shape != wl.shape:
-                raise ValueError("tabulated regime needs matching 1-d wavelength and area tables")
-            if np.any(np.diff(wl) <= 0.0) or np.any(wl <= 0.0):
-                raise ValueError("table wavelengths must be positive and strictly increasing")
-            if np.any(~np.isfinite(ar)) or np.any(ar <= 0.0):
-                raise ValueError("table areas must be finite and positive")
+            wl = _real_tuple("table_wavelength_nm", self.table_wavelength_nm)
+            ar = _real_tuple("table_area_m2", self.table_area_m2)
+            if len(wl) < 2 or len(ar) != len(wl):
+                raise ValueError("tabulated regime needs equal-length wavelength and area tables, two rows or more")
+            if any(b <= a for a, b in zip(wl, wl[1:])):
+                raise ValueError("table wavelengths must be strictly increasing")
             if band[0] < wl[0] or band[1] > wl[-1]:
                 raise ValueError("band_nm extends beyond the tabulated wavelength range")
-            wl = wl.copy(); ar = ar.copy()
-            wl.setflags(write=False); ar.setflags(write=False)
             object.__setattr__(self, "table_wavelength_nm", wl)
             object.__setattr__(self, "table_area_m2", ar)
 
@@ -78,29 +91,22 @@ class FiberModeModel:
     # -- JSON ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        d = {"regime": self.regime, "band_nm": list(self.band_nm)}
-        if self.regime == "constant_divergence":
-            d["omega0_sr"] = self.omega0_sr
-        elif self.regime == "constant_area":
-            d["area_m2"] = self.area_m2
-        else:
-            d["table_wavelength_nm"] = self.table_wavelength_nm.tolist()
-            d["table_area_m2"] = self.table_area_m2.tolist()
+        d = {"regime": self.regime}
+        for name in ("band_nm", *_REGIME_FIELDS[self.regime]):
+            v = getattr(self, name)
+            d[name] = list(v) if isinstance(v, tuple) else v
         return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FiberModeModel":
         if not isinstance(d, dict):
             raise ValueError(f"mode model must be a JSON object, got {type(d).__name__}")
-        known = {"regime", "band_nm", "omega0_sr", "area_m2", "table_wavelength_nm", "table_area_m2"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown mode-model keys: {sorted(unknown)}")
-        kwargs = dict(d)
-        if "band_nm" not in kwargs or "regime" not in kwargs:
+        if "band_nm" not in d or "regime" not in d:
             raise ValueError("mode model requires 'regime' and 'band_nm'")
-        kwargs["band_nm"] = tuple(kwargs["band_nm"])
-        return cls(**kwargs)
+        return cls(**d)
 
     @classmethod
     def from_json_file(cls, path) -> "FiberModeModel":

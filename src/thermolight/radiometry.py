@@ -165,6 +165,11 @@ def planck_radiance(omega, temperature: "Temperature | float"):
     return HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2) * mean_occupation(w, temperature)
 
 
+def planck_irradiance(omega, temperature: "Temperature | float"):
+    """Blackbody spectral exitance pi * B_omega, W m^-2 (rad/s)^-1."""
+    return math.pi * planck_radiance(omega, temperature)
+
+
 def planck_energy_density(omega, temperature: "Temperature | float"):
     """Isotropic blackbody energy density per angular frequency, J m^-3 (rad/s)^-1.
 
@@ -206,7 +211,7 @@ def q1d_psd_per_wavelength(wavelength_nm, temperature: "Temperature | float", po
 def planck_irradiance_per_wavelength(wavelength_nm, temperature: "Temperature | float"):
     """Blackbody spectral exitance pi * B_lambda, W m^-2 nm^-1."""
     lam, w = _wavelength_and_omega(wavelength_nm)
-    return math.pi * planck_radiance(w, temperature) * domega_dlambda(lam)
+    return planck_irradiance(w, temperature) * domega_dlambda(lam)
 
 
 @lru_cache(maxsize=None)

@@ -105,7 +105,8 @@ def test_rate_rejects_conflicting_geometry(tmp_path):
     lambda d: {**d, "A_PS_s": 10 ** 400},  # an integer too large for a float
     lambda d: {**d, "references": 5},
     lambda d: [d],                      # not a JSON object
-], ids=["bool-g_e", "huge-A_PS_s", "int-references", "list"])
+    lambda d: {**d, "name": 5},
+], ids=["bool-g_e", "huge-A_PS_s", "int-references", "list", "int-name"])
 def test_rate_rejects_bad_atomic_data(tmp_path, capsys, broken):
     ion_file = tmp_path / "ion.json"
     ion_file.write_text(json.dumps(broken(load_ion().to_dict())))
@@ -166,8 +167,8 @@ def test_simulate_outputs_and_reproducibility(tmp_path):
     assert (a / "ensemble_summary.json").read_bytes() != (c / "ensemble_summary.json").read_bytes()
 
 
-def test_reduce_round_trip(tmp_path):
-    t_true, eta_true = 5800.0, 0.72
+def write_reduce_inputs(tmp_path, t_true=5800.0, eta_true=0.72) -> list:
+    """raw.csv and resp.csv of a synthetic measurement; returns the matching `reduce` arguments."""
     corr = atmospheric_correction(ReferenceSolarSpectrum.load_bundled(), t_true)
     geom = SlitGeometry(slit_width_m=50e-6, distance_m=10e-3, mode_field_radius_m=2.25e-6)
 
@@ -190,13 +191,16 @@ def test_reduce_round_trip(tmp_path):
     )
     in_band = (grid >= 400.0) & (grid <= 900.0)
     power = float(trapezoid(ground[in_band], grid[in_band]))
-
-    proc = run_cli(
+    return [
         "reduce", "--raw", str(tmp_path / "raw.csv"),
         "--response", str(tmp_path / "resp.csv"),
-        "--power-w", repr(power), "--temperature-k", "5800",
-        "--json", "--out", str(tmp_path),
-    )
+        "--power-w", repr(power), "--temperature-k", repr(t_true),
+    ]
+
+
+def test_reduce_round_trip(tmp_path):
+    t_true, eta_true = 5800.0, 0.72
+    proc = run_cli(*write_reduce_inputs(tmp_path, t_true, eta_true), "--json", "--out", str(tmp_path))
     out = json.loads(proc.stdout)
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert set(report) == {"T_K", "residual", "eta_band_avg", "band_nm"}
@@ -406,3 +410,53 @@ def test_rate_flags_gamma_beyond_the_linear_regime(tmp_path, capsys):
         code, out, _ = run_main([*argv, "--temperature-k", "1e30"], capsys)
     assert code == 0
     assert json.loads(out)["gamma_over_a_pd"] == pytest.approx(6.3e20, rel=0.01)
+
+
+@pytest.mark.parametrize("bad", [
+    ["--band-nm", "900", "400"],
+    ["--band-nm", "0", "900"],
+    ["--points", "1"],
+], ids=["reversed-band", "zero-band", "one-point"])
+def test_spectrum_rejects_bad_grid(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    code, stdout, err = run_main(["spectrum", *as_flags(BASE_PARAMS["spectrum"]), *bad, "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_reduce_reads_a_reference_file(tmp_path, capsys):
+    argv = write_reduce_inputs(tmp_path)
+    bundled = ReferenceSolarSpectrum.load_bundled()
+    rows = "".join(f"{w!r},{v!r}\n" for w, v in zip(bundled.wavelengths_nm.tolist(), bundled.values.tolist()))
+    kindless = tmp_path / "reference.csv"
+    kindless.write_text("wavelength_nm,value\n" + rows)
+    code, _, err = run_main([*argv, "--out", str(tmp_path / "bundled")], capsys)
+    assert code == 0, err
+    code, _, err = run_main([*argv, "--reference", str(kindless), "--out", str(tmp_path / "file")], capsys)
+    assert code == 0, err
+    for name in ("fit_report.json", "efficiency.csv", "calibrated_psd.csv"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "bundled" / name).read_bytes(), name
+
+    ratio = tmp_path / "ratio.csv"
+    ratio.write_text("# kind=ratio\nwavelength_nm,value\n" + rows)
+    code, out, err = run_main([*argv, "--reference", str(ratio), "--out", str(tmp_path / "ratio")], capsys)
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "'ratio'" in lines[0]
+
+
+def test_check_json_reports_a_failure(tmp_path, capsys, monkeypatch):
+    import thermolight.cli as cli
+    from thermolight.acceptance import CriterionResult
+
+    monkeypatch.setattr(cli.acceptance_mod, "run_all",
+                        lambda: [CriterionResult(1, "stub criterion", False, "stub detail")])
+    code, out, _ = run_main(["check", "--json", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "check",
+        "passed": False,
+        "results": [{"index": 1, "name": "stub criterion", "passed": False, "detail": "stub detail"}],
+    }

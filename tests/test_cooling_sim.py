@@ -120,15 +120,15 @@ def test_ensemble_reproducibility_and_distinct_members():
     trajs1 = simulate_ensemble(BASE, 8)
     trajs2 = simulate_ensemble(BASE, 8)
     for a, b in zip(trajs1, trajs2):
-        assert a.seed == b.seed
+        assert a.config.seed == b.config.seed
         assert np.array_equal(a.times_s, b.times_s)
         assert np.array_equal(a.phonon_numbers, b.phonon_numbers)
-    seeds = {tr.seed for tr in trajs1}
+    seeds = {tr.config.seed for tr in trajs1}
     assert len(seeds) == 8
     # each member rebuilds identically from its own recorded seed
     from dataclasses import replace
 
-    redo = simulate_trajectory(replace(BASE, seed=trajs1[3].seed))
+    redo = simulate_trajectory(replace(BASE, seed=trajs1[3].config.seed))
     assert np.array_equal(redo.times_s, trajs1[3].times_s)
 
 

@@ -1,4 +1,4 @@
-"""Import hygiene: every name a module imports is used in that module."""
+"""Name hygiene: every name a module imports, and every private name it defines, is used in that module."""
 
 import ast
 from pathlib import Path
@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "thermolight"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported_names(tree: ast.AST) -> dict:
@@ -22,11 +23,27 @@ def _imported_names(tree: ast.AST) -> dict:
     return names
 
 
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private function, class and constant name defined at module level -> its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        names.update((n, node.lineno) for n in targets if n.startswith("_") and not n.startswith("__"))
+    return names
+
+
 def _used_names(tree: ast.AST) -> set:
     """Every name loaded in the module, including those inside quoted annotations."""
     used = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         annotations = []
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -47,3 +64,11 @@ def test_every_import_is_used(path):
     used = _used_names(tree)
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_every_private_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = _used_names(tree)
+    unused = {name: line for name, line in _private_definitions(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused private names {unused}"

@@ -117,9 +117,27 @@ def test_tabulated_json_round_trip(tmp_path):
         table_area_m2=np.array([5e-11, 7e-11, 9e-11]),
     )
     back = FiberModeModel.from_json_dict(model.to_json_dict())
-    assert back.regime == model.regime and back.band_nm == model.band_nm
-    assert np.array_equal(back.table_wavelength_nm, model.table_wavelength_nm)
-    assert np.array_equal(back.table_area_m2, model.table_area_m2)
+    assert back == model
+    assert hash(back) == hash(model)
+
+
+TABLE = {"regime": "tabulated", "band_nm": [450.0, 750.0],
+         "table_wavelength_nm": [400.0, 600.0, 800.0], "table_area_m2": [5e-11, 7e-11, 9e-11]}
+
+
+@pytest.mark.parametrize("document", [
+    {**TABLE, "band_nm": 5},
+    {**TABLE, "band_nm": None},
+    {**TABLE, "table_area_m2": {"400": 5e-11, "600": 7e-11, "800": 9e-11}},
+    {**TABLE, "table_wavelength_nm": [[400.0, 600.0, 800.0]]},
+    {**TABLE, "regime": ["tabulated"]},
+    {"regime": "constant_area", "band_nm": [400.0, 900.0], "area_m2": 8e-11, "omega0_sr": 0.05},
+    {**TABLE, "regime": "constant_divergence", "omega0_sr": 0.05},
+], ids=["int-band", "null-band", "object-table", "nested-table", "list-regime", "area-with-omega0",
+        "divergence-with-table"])
+def test_malformed_model_json_is_a_value_error(document):
+    with pytest.raises(ValueError):
+        FiberModeModel.from_json_dict(document)
 
 
 def test_divergence_and_focus_geometry():

@@ -16,6 +16,7 @@ from thermolight import (
     convert_spectral_domain,
     mean_occupation,
     planck_energy_density,
+    planck_irradiance,
     planck_irradiance_per_wavelength,
     planck_radiance,
     q1d_psd,
@@ -31,6 +32,7 @@ KB = 1.380649e-23
 PER_OMEGA = [
     mean_occupation,
     planck_radiance,
+    planck_irradiance,
     planck_energy_density,
     q1d_psd,
     lambda w, t: q1d_psd(w, t, polarizations=1),
@@ -110,6 +112,7 @@ def _read_back(text: str, **kwargs) -> SampledSpectrum:
         return read_spectrum_csv(path, **kwargs)
 
 
+@settings(deadline=None)
 @given(s=spectra(SpectrumKind.RATIO))
 def test_ratio_spectrum_csv_round_trip_is_exact(s):
     back = _read_back(spectrum_to_csv_text(s))
@@ -118,6 +121,7 @@ def test_ratio_spectrum_csv_round_trip_is_exact(s):
     assert np.array_equal(back.values, s.values)
 
 
+@settings(deadline=None)
 @given(s=spectra(SpectrumKind.COUNTS))
 def test_file_without_kind_line_round_trips_with_default_kind(s):
     rows = "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(s.wavelengths_nm, s.values))

@@ -5,12 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from thermolight import (
     AngularFrequency,
     Temperature,
     mean_occupation,
     planck_energy_density,
+    planck_irradiance,
     planck_irradiance_per_wavelength,
     planck_radiance,
     q1d_psd,
@@ -126,6 +128,14 @@ def test_planck_energy_density_closure():
         assert planck_energy_density(w, t) == pytest.approx(
             4.0 * math.pi / C * planck_radiance(w, t), rel=1e-12
         )
+
+
+def test_planck_irradiance_integrates_to_stefan_boltzmann():
+    sigma = 2.0 * math.pi ** 5 * KB ** 4 / (15.0 * H ** 3 * C ** 2)
+    for t in (300.0, 5800.0):
+        w_t = KB * t / HBAR  # integrate over x = hbar w / (k_B T)
+        total, _ = quad(lambda x: planck_irradiance(x * w_t, t) * w_t, 1e-6, 60.0, epsabs=0.0, epsrel=1e-12)
+        assert total == pytest.approx(sigma * t ** 4, rel=1e-9)
 
 
 def test_q1d_total_power_closed_form():
