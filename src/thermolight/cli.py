@@ -54,12 +54,14 @@ from .radiometry import (
     planck_irradiance_per_wavelength,
     q1d_psd,
     q1d_psd_per_wavelength,
+    real_value,
     wien_peak,
 )
 from .spectra import (
     SampledSpectrum,
     SpectrumKind,
     atomic_write_text,
+    csv_text,
     read_spectrum_csv,
     write_spectrum_csv,
 )
@@ -246,7 +248,7 @@ def cmd_spectrum(args) -> dict:
         raise ValueError(f"band must satisfy 0 < lo < hi, got [{lo}, {hi}]")
     if args.points < 2:
         raise ValueError("need at least two grid points")
-    t = Temperature(args.temperature_k)
+    t = Temperature(real_value("--temperature-k", args.temperature_k))
     grid = np.linspace(lo, hi, args.points)
     kind, density = _SPECTRA[args.family, args.domain]
     values = density(TWO_PI_C / (grid * NM) if args.domain == "omega" else grid, t, args.polarizations)
@@ -391,9 +393,9 @@ def cmd_simulate(args) -> dict:
         "counters": ensemble_counters(trajectories),
     }
     files["ensemble_summary"] = _write_report(args, "ensemble_summary.json", summary)
-    ode_text = "time_s,n\n" + "".join(f"{float(t)!r},{float(n)!r}\n" for t, n in zip(ode.times_s, ode.n))
     files["rate_equation"] = _out_path(args, "rate_equation.csv")
-    atomic_write_text(files["rate_equation"], ode_text)
+    atomic_write_text(files["rate_equation"], csv_text("time_s,n", map(repr, ode.times_s.tolist()),
+                                                       map(repr, ode.n.tolist())))
     if args.svg:
         files["svg"] = _out_path(args, "simulate.svg")
         atomic_write_text(files["svg"], line_plot(

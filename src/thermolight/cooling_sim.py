@@ -6,31 +6,36 @@ exponential wait (rate Gamma) for thermal excitation D -> P followed by an
 instantaneous decay that returns to S with probability eta_SP or back to D
 otherwise. Poisson heating at rate h adds phonons at any time.
 
-All draws come from numpy's PCG64 generator seeded from the config, in a
-fixed order per cycle, so a trajectory is bit-reproducible from (config,
-seed):
+Each trajectory draws from one stream of uniforms u on [0, 1): numpy's
+PCG64 generator seeded from the config, read BLOCK values at a time. Every
+draw takes the next u of the stream. A wait at rate r is the inversion
+-log(1 - u)/r (Devroye 1986, sec. II.2), a Bernoulli of probability p
+succeeds when u < p. The block size changes no draw, and a trajectory is
+bit-reproducible from (config, seed). The uniforms feed, in this order
+within a cycle:
 
 1. at n = 0 with h > 0, one heating wait, which skips the empty intervals
    before it and is used as the first heating wait of the interval it
    falls in;
-2. the remaining heating waits within the sideband interval;
+2. the remaining heating waits within the sideband interval, up to the
+   first that overruns its end;
 3. the transfer Bernoulli, drawn only when n > 0;
-4. after a transfer, alternating excitation/heating waits in D, each
-   excitation followed by the branching Bernoulli.
+4. after a transfer, per event in D: an excitation wait, then a heating
+   wait when h > 0 (the shorter one happens); after an excitation, the
+   branching Bernoulli of probability eta_SP, back to S on success.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .radiometry import int_value, real_value
-from .spectra import atomic_write_text
+from .spectra import atomic_write_text, csv_text
 
 
 def default_transfer_prob(n: int) -> float:
@@ -53,7 +58,7 @@ class CycleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", real_value("gamma", self.gamma))
-        object.__setattr__(self, "eta_sp", real_value("eta_sp", self.eta_sp, 0.0, 1.0, open_lo=False))
+        object.__setattr__(self, "eta_sp", real_value("eta_sp", self.eta_sp, 0.0, 1.0))
         object.__setattr__(self, "step_duration_s", real_value("step_duration_s", self.step_duration_s))
         object.__setattr__(self, "t_max_s", real_value("t_max_s", self.t_max_s))
         object.__setattr__(self, "heating_rate", real_value("heating_rate", self.heating_rate, open_lo=False))
@@ -104,29 +109,27 @@ class CoolingTrajectory:
     def final_n(self) -> int:
         return int(self.phonon_numbers[-1])
 
-    def occupation_on_grid(self, grid_s) -> np.ndarray:
-        g = np.asarray(grid_s, dtype=float)
-        idx = np.searchsorted(self.times_s, g, side="right") - 1
-        idx = np.clip(idx, 0, len(self.times_s) - 1)
-        return self.phonon_numbers[idx].astype(float)
-
     def time_average(self, t0: float, t1: float) -> float:
         """Time average of the piecewise-constant n over [t0, t1]."""
         if not (0.0 <= t0 < t1 <= self.config.t_max_s + 1e-12):
             raise ValueError(f"window [{t0}, {t1}] outside [0, {self.config.t_max_s}]")
-        edges = np.concatenate(([t0], self.times_s[(self.times_s > t0) & (self.times_s < t1)], [t1]))
-        vals = self.occupation_on_grid(edges[:-1])
-        return float(np.sum(vals * np.diff(edges)) / (t1 - t0))
+        return float(_window_means(self.times_s, self.phonon_numbers, [self.times_s.size], t0, t1)[0])
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("time_s,n,internal_state\n")
-        for t, n, s in zip(self.times_s, self.phonon_numbers, self.states):
-            buf.write(f"{float(t)!r},{int(n)},{s}\n")
-        return buf.getvalue()
+        return csv_text("time_s,n,internal_state", map(repr, self.times_s.tolist()),
+                        map(repr, self.phonon_numbers.tolist()), self.states)
 
     def to_csv(self, path) -> None:
         atomic_write_text(path, self.to_csv_text())
+
+
+BLOCK = 128  # uniforms per refill of a member's stream; no trajectory depends on it
+
+
+def _uniforms(rng: np.random.Generator):
+    """The generator's uniforms on [0, 1) in stream order, drawn BLOCK at a time."""
+    while True:
+        yield from rng.random(BLOCK).tolist()
 
 
 def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
@@ -146,21 +149,16 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     & Bruck 2000). By memorylessness this leaves the distribution of the
     trajectory unchanged.
     """
-    rng = np.random.default_rng(cfg.seed)
-    h = cfg.heating_rate
-    tau = cfg.step_duration_s
+    uniform = _uniforms(np.random.default_rng(cfg.seed)).__next__
+    log1p = math.log1p
+    h, gamma, eta_sp = cfg.heating_rate, cfg.gamma, cfg.eta_sp
+    tau, t_max = cfg.step_duration_s, cfg.t_max_s
     t = 0.0
     n = cfg.n_initial
-    times = [0.0]
-    numbers = [n]
-    states = ["S"]
+    rows = [(t, n, "S")]
+    record = rows.append
     empty_intervals = 0
     stop_reason = None
-
-    def record(time, number, tag):
-        times.append(time)
-        numbers.append(number)
-        states.append(tag)
 
     while stop_reason is None:
         wait = None  # heating wait already drawn for the coming interval
@@ -171,9 +169,9 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
                 stop_reason = "quiescent"  # no heating and the sideband has no effect
                 break
         elif n == 0:
-            dt = rng.exponential(1.0 / h)
-            if t + dt >= cfg.t_max_s:
-                empty_intervals += int((cfg.t_max_s - t) // tau)
+            dt = -log1p(-uniform()) / h
+            if t + dt >= t_max:
+                empty_intervals += int((t_max - t) // tau)
                 stop_reason = "t_max"
                 break
             skipped, wait = divmod(dt, tau)
@@ -181,44 +179,47 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
             empty_intervals += int(skipped)
         # step I: deterministic interval with Poisson heating
         t_end = t + tau
-        horizon = min(t_end, cfg.t_max_s)
         if h > 0.0:
+            horizon = t_end if t_end < t_max else t_max
             while True:
-                dt = rng.exponential(1.0 / h) if wait is None else wait
+                dt = -log1p(-uniform()) / h if wait is None else wait
                 wait = None
                 if t + dt >= horizon:
                     break
                 t += dt
                 n += 1
-                record(t, n, "S")
-        if t_end > cfg.t_max_s:
+                record((t, n, "S"))
+        if t_end > t_max:
             stop_reason = "t_max"
             break
         t = t_end
         if h > 0.0:
             p = _transfer_probability(cfg, n)
-        if n == 0 or rng.random() >= p:
+        if n == 0 or uniform() >= p:
             empty_intervals += 1
             continue  # no transfer this cycle; remain in S
         n -= 1
-        record(t, n, "D")
+        record((t, n, "D"))
         # step II: wait in D for thermal excitation, racing against heating
         while True:
-            dt_exc = rng.exponential(1.0 / cfg.gamma)
-            dt_heat = rng.exponential(1.0 / h) if h > 0.0 else math.inf
-            dt = min(dt_exc, dt_heat)
-            if t + dt >= cfg.t_max_s:
+            dt = -log1p(-uniform()) / gamma
+            dt_heat = -log1p(-uniform()) / h if h > 0.0 else math.inf
+            heated = dt_heat < dt
+            if heated:
+                dt = dt_heat
+            if t + dt >= t_max:
                 stop_reason = "t_max"
                 break
             t += dt
-            if dt_heat < dt_exc:
+            if heated:
                 n += 1
-                record(t, n, "D")
+                record((t, n, "D"))
                 continue
-            record(t, n, "P")
-            if rng.random() < cfg.eta_sp:
+            record((t, n, "P"))
+            if uniform() < eta_sp:
                 break  # back in S; cycle complete
 
+    times, numbers, states = zip(*rows)
     phonons = np.array(numbers, dtype=np.int64)
     steps = np.diff(phonons)
     transfers = int(np.count_nonzero(steps < 0))
@@ -233,7 +234,7 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     return CoolingTrajectory(
         times_s=np.array(times),
         phonon_numbers=phonons,
-        states=tuple(states),
+        states=states,
         config=cfg,
         counters=counters,
     )
@@ -248,6 +249,42 @@ def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
     n = int_value("n_trajectories", n_trajectories, 1)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64)
     return [simulate_trajectory(replace(cfg, seed=s)) for s in seeds]
+
+
+def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
+    """Each member's time average of its piecewise-constant n over [t0, t1].
+
+    times and numbers are the members' records laid end to end, sizes their
+    lengths. Every row holds its n until the member's next row, the last
+    one to the end; its duration clipped to the window weights that n.
+    """
+    ends = np.cumsum(sizes)
+    held = np.append(times[1:], math.inf)
+    held[ends - 1] = math.inf
+    np.minimum(held, t1, out=held)
+    held -= np.maximum(times, t0)
+    np.maximum(held, 0.0, out=held)
+    held *= numbers
+    owner = np.repeat(np.arange(ends.size), sizes)
+    return np.bincount(owner, weights=held, minlength=ends.size) / (t1 - t0)
+
+
+def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
+    """Each member's n at each grid time, one row per member, laid out as in _window_means.
+
+    A grid time takes the member's last row at or before it. The running
+    count of rows, member after member and grid cell after grid cell, is
+    that row's index plus one, exact and with no time shifted to tell the
+    members apart.
+    """
+    cells = grid.size + 1
+    key = np.searchsorted(grid, times)  # the first grid time at or after each row
+    key += np.repeat(np.arange(0, len(sizes) * cells, cells), sizes)
+    counts = np.bincount(key, minlength=len(sizes) * cells)
+    del key  # the gather below needs the memory more
+    np.cumsum(counts, out=counts)
+    counts -= 1
+    return numbers[counts.reshape(len(sizes), cells)[:, :-1]]
 
 
 def ensemble_counters(trajectories: list) -> dict:
@@ -308,18 +345,20 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     grid_points = int_value("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need at least three grid points, got {grid_points}")
-    shared = [f.name for f in fields(CycleConfig) if f.name != "seed"]
-    ref = [getattr(trajectories[0].config, name) for name in shared]
-    for traj in trajectories[1:]:
-        if [getattr(traj.config, name) for name in shared] != ref:
-            raise ValueError("trajectories come from differing configs")
+    ref = dict(vars(trajectories[0].config), seed=None)  # members differ in their seeds only
+    if any(dict(vars(traj.config), seed=None) != ref for traj in trajectories):
+        raise ValueError("trajectories come from differing configs")
     t_max = trajectories[0].config.t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
-    samples = np.vstack([traj.occupation_on_grid(grid) for traj in trajectories])
+    times = np.concatenate([traj.times_s for traj in trajectories])
+    numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
+    sizes = np.array([traj.times_s.size for traj in trajectories])
+    quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
+    samples = _grid_samples(times, numbers, sizes, grid)
+    del times, numbers  # free the records before the (members x grid) temporaries below
     mean_n = samples.mean(axis=0)
     var_n = samples.var(axis=0)
 
-    quartiles = np.array([traj.time_average(0.75 * t_max, t_max) for traj in trajectories])
     steady = float(quartiles.mean())
     steady_err = float(quartiles.std(ddof=1) / math.sqrt(len(trajectories)))
 
@@ -378,17 +417,21 @@ def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:
     steps = max(int(math.ceil(cfg.t_max_s / dt)), 1)
     dt = cfg.t_max_s / steps
 
-    def f(n):
-        return -r * n / (n + 0.5) + h
-
-    out = np.empty(steps + 1)
-    out[0] = float(cfg.n_initial)
-    n = out[0]
-    for i in range(steps):
-        k1 = f(n)
-        k2 = f(max(n + 0.5 * dt * k1, 0.0))
-        k3 = f(max(n + 0.5 * dt * k2, 0.0))
-        k4 = f(max(n + dt * k3, 0.0))
-        n = max(n + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
-        out[i + 1] = n
-    return RateCurve(times_s=np.linspace(0.0, cfg.t_max_s, steps + 1), n=out)
+    half = 0.5 * dt
+    n = float(cfg.n_initial)
+    out = [n]
+    for _ in range(steps):
+        k1 = -r * n / (n + 0.5) + h
+        x = n + half * k1
+        x = x if x > 0.0 else 0.0
+        k2 = -r * x / (x + 0.5) + h
+        x = n + half * k2
+        x = x if x > 0.0 else 0.0
+        k3 = -r * x / (x + 0.5) + h
+        x = n + dt * k3
+        x = x if x > 0.0 else 0.0
+        k4 = -r * x / (x + 0.5) + h
+        n = n + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        n = n if n > 0.0 else 0.0
+        out.append(n)
+    return RateCurve(times_s=np.linspace(0.0, cfg.t_max_s, steps + 1), n=np.array(out))

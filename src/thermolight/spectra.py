@@ -13,7 +13,6 @@ endings.
 from __future__ import annotations
 
 import enum
-import io
 import os
 import tempfile
 from dataclasses import dataclass
@@ -162,14 +161,15 @@ def atomic_write_text(path: "str | os.PathLike", text: str) -> None:
         raise
 
 
+def csv_text(header: str, *columns) -> str:
+    """The header, then one comma-joined row per element of the string columns; LF-terminated lines."""
+    return "\n".join([header, *map(",".join, zip(*columns)), ""])
+
+
 def spectrum_to_csv_text(spectrum: SampledSpectrum) -> str:
-    buf = io.StringIO()
-    buf.write(f"# kind={spectrum.kind.value}\n")
-    buf.write("wavelength_nm,value\n")
-    for wl, v in zip(spectrum.wavelengths_nm, spectrum.values):
-        # plain-float repr: shortest digits that round-trip exactly
-        buf.write(f"{float(wl)!r},{float(v)!r}\n")
-    return buf.getvalue()
+    # plain-float repr: shortest digits that round-trip exactly
+    return csv_text(f"# kind={spectrum.kind.value}\nwavelength_nm,value",
+                    map(repr, spectrum.wavelengths_nm.tolist()), map(repr, spectrum.values.tolist()))
 
 
 def write_spectrum_csv(path: "str | os.PathLike", spectrum: SampledSpectrum) -> None:

@@ -426,6 +426,27 @@ def test_spectrum_rejects_bad_grid(tmp_path, capsys, bad):
     assert not out.exists()
 
 
+def test_simulate_refuses_a_cycle_that_never_completes(tmp_path, capsys):
+    out = tmp_path / "out"
+    params = {**BASE_PARAMS["simulate"], "eta_sp": 0}
+    code, stdout, err = run_main(["simulate", *as_flags(params), "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "eta_sp" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temperature", ["inf", "nan"])
+def test_spectrum_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, temperature):
+    out = tmp_path / "out"
+    params = {**BASE_PARAMS["spectrum"], "temperature_k": temperature}
+    code, stdout, err = run_main(["spectrum", *as_flags(params), "--out", str(out)], capsys)
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--temperature-k" in lines[0]
+    assert not out.exists()
+
+
 def test_reduce_reads_a_reference_file(tmp_path, capsys):
     argv = write_reduce_inputs(tmp_path)
     bundled = ReferenceSolarSpectrum.load_bundled()

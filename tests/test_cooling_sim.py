@@ -16,6 +16,7 @@ from thermolight import (
     simulate_trajectory,
 )
 from thermolight.acceptance import markov_steady_state_occupation, renewal_slope
+from thermolight import cooling_sim
 from thermolight.cooling_sim import ensemble_counters
 
 BASE = CycleConfig(
@@ -31,7 +32,7 @@ BASE = CycleConfig(
 def test_config_validation():
     from dataclasses import replace
 
-    for bad in (dict(gamma=0.0), dict(gamma=-1.0), dict(eta_sp=-0.1), dict(eta_sp=1.5),
+    for bad in (dict(gamma=0.0), dict(gamma=-1.0), dict(eta_sp=-0.1), dict(eta_sp=0.0), dict(eta_sp=1.5),
                 dict(step_duration_s=0.0), dict(t_max_s=-1.0), dict(heating_rate=-2.0),
                 dict(n_initial=-1), dict(seed=-5)):
         with pytest.raises(ValueError):
@@ -85,8 +86,9 @@ def test_ground_state_is_quiescent():
     traj = simulate_trajectory(cfg)
     assert traj.final_n == 0
     assert len(traj.times_s) == 1  # nothing can happen: single initial record
-    grid = np.linspace(0.0, cfg.t_max_s, 11)
-    assert np.all(traj.occupation_on_grid(grid) == 0.0)
+    # n >= 0, so a zero ensemble mean means every member samples 0 at every grid time
+    stats = ensemble_stats([traj, simulate_trajectory(replace(cfg, seed=cfg.seed + 1))], grid_points=11)
+    assert np.all(stats.mean_n == 0.0)
     assert traj.time_average(0.0, cfg.t_max_s) == 0.0
     assert traj.counters["stop_reason"] == "quiescent"
 
@@ -337,3 +339,113 @@ def test_long_window_steady_state_matches_markov_chain():
     stderr = averages.std(ddof=1) / math.sqrt(averages.size)
     want = markov_steady_state_occupation(gamma, eta_sp, tau_i, h)
     assert abs(averages.mean() - want) <= 4.0 * stderr
+
+
+@pytest.mark.parametrize("cfg", [
+    BASE,
+    HEATED,
+    replace(HEATED, n_initial=3, transfer_prob=lambda n: 0.6),
+], ids=["cooling", "heated", "heated-partial-transfer"])
+def test_trajectory_does_not_depend_on_the_uniform_block(monkeypatch, cfg):
+    runs = []
+    for block in (1, 7, cooling_sim.BLOCK):
+        monkeypatch.setattr(cooling_sim, "BLOCK", block)
+        runs.append(simulate_trajectory(cfg))
+    first = runs[0]
+    assert len(first.times_s) > 20  # many blocks of one and of seven uniforms
+    for other in runs[1:]:
+        assert first.times_s.tobytes() == other.times_s.tobytes()
+        assert first.phonon_numbers.tobytes() == other.phonon_numbers.tobytes()
+        assert first.states == other.states
+        assert first.counters == other.counters
+
+
+def reference_stats(trajectories, grid_points=201):
+    """Grid samples, quartile averages and slope computed member by member, independently of the one-pass code."""
+    t_max = trajectories[0].config.t_max_s
+    grid = np.linspace(0.0, t_max, grid_points)
+
+    def on_grid(traj, g):
+        idx = np.clip(np.searchsorted(traj.times_s, g, side="right") - 1, 0, len(traj.times_s) - 1)
+        return traj.phonon_numbers[idx].astype(float)
+
+    def average(traj, t0, t1):
+        inside = traj.times_s[(traj.times_s > t0) & (traj.times_s < t1)]
+        edges = np.concatenate(([t0], inside, [t1]))
+        return float(np.sum(on_grid(traj, edges[:-1]) * np.diff(edges)) / (t1 - t0))
+
+    samples = np.vstack([on_grid(traj, grid) for traj in trajectories])
+    mean_n = samples.mean(axis=0)
+    quartiles = np.array([average(traj, 0.75 * t_max, t_max) for traj in trajectories])
+    steady = quartiles.mean()
+    start = min(int(np.searchsorted(grid, 1.0 / cycle_rate(trajectories[0].config))), grid_points - 3)
+    target = mean_n[0] - 0.2 * (mean_n[0] - steady)
+    below = np.nonzero(mean_n <= target)[0] if target < mean_n[0] else []
+    stop = max(int(below[0]) if len(below) else int(0.2 * (grid_points - 1)), start + 2)
+    slopes = np.polyfit(grid[start:stop + 1], samples[:, start:stop + 1].T, 1)[0]
+    return {
+        "grid_s": grid, "mean_n": mean_n, "var_n": samples.var(axis=0),
+        "slope_per_s": slopes.mean(), "slope_stderr": slopes.std(ddof=1) / math.sqrt(len(slopes)),
+        "slope_window_s": (grid[start], grid[stop]),
+        "steady_state_n": steady, "steady_state_stderr": quartiles.std(ddof=1) / math.sqrt(len(quartiles)),
+        "averages": quartiles,
+    }
+
+
+@pytest.mark.parametrize("cfg, members, grid_points", [
+    (BASE, 300, 201),
+    (replace(BASE, t_max_s=5.0, n_initial=8), 200, 201),  # most members end quiescent
+    (HEATED, 150, 201),
+    (replace(HEATED, heating_rate=4.0, step_duration_s=0.02, gamma=8.0, eta_sp=0.9, t_max_s=6.0), 100, 37),
+    (BASE, 5, 3),
+], ids=["cooling", "to-ground", "heated", "criterion-8-third", "tiny-grid"])
+def test_one_pass_stats_match_the_member_by_member_reference(cfg, members, grid_points):
+    trajectories = simulate_ensemble(cfg, members)
+    stats = ensemble_stats(trajectories, grid_points=grid_points)
+    want = reference_stats(trajectories, grid_points)
+    for key in ("grid_s", "mean_n", "var_n"):
+        assert getattr(stats, key).tobytes() == want[key].tobytes(), key
+    for key in ("slope_per_s", "slope_stderr", "slope_window_s"):
+        assert getattr(stats, key) == want[key], key
+    for key in ("steady_state_n", "steady_state_stderr"):
+        assert getattr(stats, key) == pytest.approx(want[key], rel=1e-13, abs=0.0), key
+    t_max = cfg.t_max_s
+    averages = np.array([traj.time_average(0.75 * t_max, t_max) for traj in trajectories])
+    assert np.allclose(averages, want["averages"], rtol=1e-13, atol=0.0)
+
+
+def closure_rate_equation(cfg):
+    """rate_equation_trajectory as it was written with a slope closure and max(), kept to pin the results."""
+    r = cycle_rate(cfg)
+    h = cfg.heating_rate
+    dt = cfg.t_max_s / 200.0
+    if r > 0.0:
+        dt = min(dt, 0.01 / r)
+    steps = max(int(math.ceil(cfg.t_max_s / dt)), 1)
+    dt = cfg.t_max_s / steps
+
+    def f(n):
+        return -r * n / (n + 0.5) + h
+
+    out = np.empty(steps + 1)
+    out[0] = float(cfg.n_initial)
+    n = out[0]
+    for i in range(steps):
+        k1 = f(n)
+        k2 = f(max(n + 0.5 * dt * k1, 0.0))
+        k3 = f(max(n + 0.5 * dt * k2, 0.0))
+        k4 = f(max(n + dt * k3, 0.0))
+        n = max(n + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0, 0.0)
+        out[i + 1] = n
+    return np.linspace(0.0, cfg.t_max_s, steps + 1), out
+
+
+@pytest.mark.parametrize("cfg", [
+    replace(BASE, n_initial=50, t_max_s=8.0),
+    replace(HEATED, heating_rate=4.0, n_initial=3),
+], ids=["cooling", "heated"])
+def test_rate_equation_is_bit_identical_to_the_closure_form(cfg):
+    curve = rate_equation_trajectory(cfg)
+    times, n = closure_rate_equation(cfg)
+    assert curve.times_s.tobytes() == times.tobytes()
+    assert curve.n.tobytes() == n.tobytes()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermolight import (
+    CoolingTrajectory,
     CycleConfig,
     SampledSpectrum,
     SpectrumKind,
@@ -137,7 +138,7 @@ def cycle_configs(draw):
     p = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
     return CycleConfig(
         gamma=draw(st.floats(0.5, 200.0)),
-        eta_sp=draw(st.floats(0.0, 1.0)),
+        eta_sp=draw(st.floats(0.0, 1.0, exclude_min=True)),  # a cycle with eta_sp = 0 never completes
         step_duration_s=draw(st.floats(1e-3, 0.1)),
         t_max_s=draw(st.floats(1e-3, 0.5)),
         seed=draw(st.integers(0, 2 ** 64 - 1)),
@@ -167,3 +168,23 @@ def test_simulator_record_invariants(cfg):
     assert c["scatters"] == np.count_nonzero(scatters)
     assert c["cycles"] == c["empty_intervals"] + c["transfers"]
     assert c["stop_reason"] in (("t_max", "quiescent") if cfg.heating_rate == 0.0 else ("t_max",))
+
+
+def test_csv_writers_match_the_row_format():
+    # rows used to be written one f-string at a time; the column writers must give the same bytes
+    rng = np.random.default_rng(20261018)
+    special = [5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0, 3.0, 2.0 ** 53, 1e16, 1e22, 123456789.0,
+               6.02214076e23, 1e300, 1.7976931348623157e308]
+    drawn = rng.random(300) * 10.0 ** rng.integers(-330, 300, 300).astype(float)
+    values = rng.permutation(np.concatenate([special, drawn, np.floor(drawn[:40] * 1e6)]))
+    grid = np.unique(values[values > 0.0])
+    spectrum = SampledSpectrum(grid, rng.permutation(values)[:grid.size], SpectrumKind.COUNTS)
+    rows = "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(spectrum.wavelengths_nm, spectrum.values))
+    assert spectrum_to_csv_text(spectrum) == "# kind=counts\nwavelength_nm,value\n" + rows
+
+    numbers = rng.integers(0, 2 ** 62, values.size)
+    states = tuple(rng.choice(["S", "D", "P"], values.size).tolist())
+    cfg = CycleConfig(gamma=1.0, eta_sp=1.0, step_duration_s=1.0, t_max_s=1.0, seed=0)
+    traj = CoolingTrajectory(times_s=values, phonon_numbers=numbers, states=states, config=cfg, counters={})
+    rows = "".join(f"{float(t)!r},{int(n)},{s}\n" for t, n, s in zip(traj.times_s, traj.phonon_numbers, traj.states))
+    assert traj.to_csv_text() == "time_s,n,internal_state\n" + rows
