@@ -49,7 +49,6 @@ from .cooling_sim import (
     CycleConfig,
     EnsembleStats,
     cycle_rate,
-    default_transfer_prob,
     ensemble_stats,
     rate_equation_trajectory,
     simulate_ensemble,

@@ -48,6 +48,7 @@ from .radiometry import (
     q1d_psd,
     q1d_psd_per_wavelength,
     q1d_total_power,
+    real_value,
     wien_peak,
 )
 from .spectra import SampledSpectrum, SpectrumKind
@@ -64,22 +65,24 @@ class CriterionResult:
 
 
 def markov_steady_state_occupation(
-    gamma: float, eta_sp: float, tau_i: float, heating_rate: float, n_max: int = 200
+    gamma: float, eta_sp: float, tau_i: float, heating_rate: float, n_max: int = 200, transfer_prob: float = 1.0
 ) -> float:
     """Brute-force long-run time-averaged phonon number of the cycle model.
 
     The phonon number observed at cycle starts is a Markov chain: the
-    deterministic interval adds a Poisson(h tau_I) count, an ideal transfer
-    removes one phonon when possible, and the wait in D adds a geometric
-    number of heating phonons (each heating event beats the successful
-    scatter with probability h/(h + Gamma eta_SP)). Dwell-time integrals
-    of n over both phases have closed forms per starting state, so the
-    stationary vector gives the exact time average. Independent of the
-    event-by-event simulator.
+    deterministic interval adds a Poisson(h tau_I) count; when that leaves
+    a phonon, a transfer with probability transfer_prob removes one and the
+    wait in D adds a geometric number of heating phonons (each heating
+    event beats the successful scatter with probability h/(h + Gamma
+    eta_SP)); otherwise the interval ends empty and the next cycle starts
+    at once. Dwell-time integrals of n over both phases have closed forms
+    per starting state, so the stationary vector gives the exact time
+    average. Independent of the event-by-event simulator.
     """
     ge = gamma * eta_sp
     if ge <= 0.0:
         raise ValueError("needs a positive successful-scatter rate")
+    p = real_value("transfer_prob", transfer_prob, 0.0, 1.0)  # at 0 heating has no steady state
     h = heating_rate
     size = n_max + 1
 
@@ -110,12 +113,14 @@ def markov_steady_state_occupation(
         m_mid = np.minimum(start + i, n_max)
         busy = m_mid > 0
         p_matrix[~busy, 0] += pi  # empty interval, no transfer possible
+        p_matrix[start[busy], m_mid[busy]] += (1.0 - p) * pi  # busy interval without a transfer
+        pt = p * pi
         m = m_mid[busy] - 1
         # wait in D: E[n dt] = m/ge + h/ge^2, duration 1/ge
-        expected_nt[busy] += pi * (m / ge + h / ge ** 2)
-        expected_t[busy] += pi / ge
+        expected_nt[busy] += pt * (m / ge + h / ge ** 2)
+        expected_t[busy] += pt / ge
         cols = np.minimum(m[:, None] + np.arange(geom.size), n_max)
-        np.add.at(p_matrix, (start[busy, None], cols), pi * geom)
+        np.add.at(p_matrix, (start[busy, None], cols), pt * geom)
 
     # stationary vector: solve (P^T - I) pi = 0 with sum(pi) = 1
     a = p_matrix.T - np.eye(size)
@@ -128,10 +133,11 @@ def markov_steady_state_occupation(
     return float(np.dot(pi_vec, expected_nt) / np.dot(pi_vec, expected_t))
 
 
-def renewal_slope(gamma: float, eta_sp: float, tau_i: float) -> float:
-    """Phonons per second removed while far from the ground state: one per cycle."""
+def renewal_slope(gamma: float, eta_sp: float, tau_i: float, transfer_prob: float = 1.0) -> float:
+    """Phonons per second removed far from the ground state, where each removal takes tau_I/p of
+    sideband intervals, p the transfer probability, and one wait in D: 1/(tau_I/p + 1/(Gamma eta_SP))."""
     ge = gamma * eta_sp
-    return ge / (1.0 + ge * tau_i)
+    return ge * transfer_prob / (transfer_prob + ge * tau_i)
 
 
 # -- the nine criteria ---------------------------------------------------

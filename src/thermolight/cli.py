@@ -287,7 +287,8 @@ def cmd_rate(args) -> dict:
     ion = load_ion(args.ion)
     omega2 = AngularFrequency(ion.omega2_rad_s)
     if args.waist_um is not None:
-        g = grayness(top_hat_area(args.waist_um * 1e-6), omega2)
+        # a focus wider than a metre is no focus; the ceiling keeps pi w0^2 finite
+        g = grayness(top_hat_area(real_value("--waist-um", args.waist_um, 0.0, 1e6) * 1e-6), omega2)
     else:
         g = args.grayness
     drive = CoolingDrive(
@@ -296,7 +297,7 @@ def cmd_rate(args) -> dict:
         omega_motion=AngularFrequency(2.0 * math.pi * 1e6),  # not used by the rate
         p_d=args.p_d,
     )
-    report = cooling_rate_report(ion, drive, Temperature(args.temperature_k))
+    report = cooling_rate_report(ion, drive, Temperature(real_value("--temperature-k", args.temperature_k)))
     out = {
         "command": "rate",
         "inputs": {
@@ -415,7 +416,7 @@ def cmd_simulate(args) -> dict:
 def cmd_reduce(args) -> dict:
     _require(args, "raw", "response", "power_w", "temperature_k")
     band = tuple(args.band_nm)
-    t = Temperature(args.temperature_k)
+    t = Temperature(real_value("--temperature-k", args.temperature_k))
     raw = read_spectrum_csv(args.raw)
     response = InstrumentResponse.from_csv(args.response)
     reference = (

@@ -1,7 +1,7 @@
 """Monte-Carlo and rate-equation models of the two-step cooling cycle.
 
 Each cycle: a deterministic sideband interval of length tau_I that, with
-probability p_I(n), removes one phonon and parks the ion in D; then an
+probability p for n >= 1, removes one phonon and parks the ion in D; then an
 exponential wait (rate Gamma) for thermal excitation D -> P followed by an
 instantaneous decay that returns to S with probability eta_SP or back to D
 otherwise. Poisson heating at rate h adds phonons at any time.
@@ -12,14 +12,15 @@ draw takes the next u of the stream. A wait at rate r is the inversion
 -log(1 - u)/r (Devroye 1986, sec. II.2), a Bernoulli of probability p
 succeeds when u < p. The block size changes no draw, and a trajectory is
 bit-reproducible from (config, seed). The uniforms feed, in this order
-within a cycle:
+within a cycle (a transfer probability p below 1 spends no extra draw, so
+the stream order is the same for every p):
 
 1. at n = 0 with h > 0, one heating wait, which skips the empty intervals
    before it and is used as the first heating wait of the interval it
    falls in;
 2. the remaining heating waits within the sideband interval, up to the
    first that overruns its end;
-3. the transfer Bernoulli, drawn only when n > 0;
+3. the transfer Bernoulli of probability p, drawn only when n > 0;
 4. after a transfer, per event in D: an excitation wait, then a heating
    wait when h > 0 (the shorter one happens); after an excitation, the
    branching Bernoulli of probability eta_SP, back to S on success.
@@ -29,18 +30,14 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from .radiometry import int_value, real_value
 from .spectra import atomic_write_text, csv_text
-
-
-def default_transfer_prob(n: int) -> float:
-    """Ideal sideband transfer: certain for n >= 1, impossible at n = 0."""
-    return 1.0 if n >= 1 else 0.0
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class CycleConfig:
     seed: int
     heating_rate: float = 0.0    # Poisson phonon gain, 1/s
     n_initial: int = 0
-    transfer_prob: "Callable[[int], float] | None" = None
+    transfer_prob: float = 1.0   # sideband transfer probability for n >= 1; none at n = 0
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", real_value("gamma", self.gamma))
@@ -63,15 +60,8 @@ class CycleConfig:
         object.__setattr__(self, "t_max_s", real_value("t_max_s", self.t_max_s))
         object.__setattr__(self, "heating_rate", real_value("heating_rate", self.heating_rate, open_lo=False))
         object.__setattr__(self, "n_initial", int_value("n_initial", self.n_initial))
+        object.__setattr__(self, "transfer_prob", real_value("transfer_prob", self.transfer_prob, 0, 1, open_lo=False))
         object.__setattr__(self, "seed", int_value("seed", self.seed, 0, 2 ** 64))
-
-
-def _transfer_probability(cfg: CycleConfig, n: int) -> float:
-    fn = cfg.transfer_prob or default_transfer_prob
-    p = float(fn(n))
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"transfer probability {p!r} at n={n} outside [0, 1]")
-    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +118,7 @@ BLOCK = 128  # uniforms per refill of a member's stream; no trajectory depends o
 
 def _uniforms(rng: np.random.Generator):
     """The generator's uniforms on [0, 1) in stream order, drawn BLOCK at a time."""
-    while True:
-        yield from rng.random(BLOCK).tolist()
+    return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
 
 
 def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
@@ -151,21 +140,19 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     """
     uniform = _uniforms(np.random.default_rng(cfg.seed)).__next__
     log1p = math.log1p
-    h, gamma, eta_sp = cfg.heating_rate, cfg.gamma, cfg.eta_sp
+    h, gamma, eta_sp, p = cfg.heating_rate, cfg.gamma, cfg.eta_sp, cfg.transfer_prob
     tau, t_max = cfg.step_duration_s, cfg.t_max_s
     t = 0.0
     n = cfg.n_initial
     rows = [(t, n, "S")]
     record = rows.append
-    empty_intervals = 0
+    empty_intervals = transfers = scatters = 0
     stop_reason = None
 
     while stop_reason is None:
         wait = None  # heating wait already drawn for the coming interval
         if h == 0.0:
-            # n cannot change inside the interval, so this p serves its end too
-            p = _transfer_probability(cfg, n) if n > 0 else 0.0
-            if p == 0.0:
+            if n == 0 or p == 0.0:
                 stop_reason = "quiescent"  # no heating and the sideband has no effect
                 break
         elif n == 0:
@@ -193,12 +180,11 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
             stop_reason = "t_max"
             break
         t = t_end
-        if h > 0.0:
-            p = _transfer_probability(cfg, n)
         if n == 0 or uniform() >= p:
             empty_intervals += 1
             continue  # no transfer this cycle; remain in S
         n -= 1
+        transfers += 1
         record((t, n, "D"))
         # step II: wait in D for thermal excitation, racing against heating
         while True:
@@ -215,25 +201,23 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
                 n += 1
                 record((t, n, "D"))
                 continue
+            scatters += 1
             record((t, n, "P"))
             if uniform() < eta_sp:
                 break  # back in S; cycle complete
 
     times, numbers, states = zip(*rows)
-    phonons = np.array(numbers, dtype=np.int64)
-    steps = np.diff(phonons)
-    transfers = int(np.count_nonzero(steps < 0))
     counters = {
         "cycles": empty_intervals + transfers,
         "empty_intervals": empty_intervals,
         "transfers": transfers,
-        "scatters": states.count("P"),
-        "heating_events": int(np.count_nonzero(steps > 0)),
+        "scatters": scatters,
+        "heating_events": n - cfg.n_initial + transfers,  # n moves only by heating (+1) and transfer (-1)
         "stop_reason": stop_reason,
     }
     return CoolingTrajectory(
         times_s=np.array(times),
-        phonon_numbers=phonons,
+        phonon_numbers=np.array(numbers, dtype=np.int64),
         states=states,
         config=cfg,
         counters=counters,
@@ -247,8 +231,14 @@ def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
     re-runs bit for bit from the config recorded on it.
     """
     n = int_value("n_trajectories", n_trajectories, 1)
-    seeds = np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64)
-    return [simulate_trajectory(replace(cfg, seed=s)) for s in seeds]
+    cls, fields = type(cfg), vars(cfg)
+    trajectories = []
+    # each member copies cfg's validated fields; its seed, a uint64 state word, is in range too
+    for seed in np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64).tolist():
+        member = object.__new__(cls)
+        member.__dict__.update(fields, seed=seed)
+        trajectories.append(simulate_trajectory(member))
+    return trajectories
 
 
 def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
@@ -362,7 +352,8 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     steady = float(quartiles.mean())
     steady_err = float(quartiles.std(ddof=1) / math.sqrt(len(trajectories)))
 
-    start = int(np.searchsorted(grid, 1.0 / cycle_rate(trajectories[0].config)))
+    rate = cycle_rate(trajectories[0].config)
+    start = int(np.searchsorted(grid, 1.0 / rate)) if rate > 0.0 else 0  # no cycles, no phase lock
     n0 = mean_n[0]
     target = n0 - 0.2 * (n0 - steady)
     below = np.nonzero(mean_n <= target)[0] if target < n0 else np.array([], dtype=int)
@@ -397,9 +388,9 @@ class RateCurve(NamedTuple):
 
 
 def cycle_rate(cfg: CycleConfig) -> float:
-    """Phonons removed per unit time for a busy cycle: R = Gamma eta_SP/(1 + Gamma eta_SP tau_I)."""
-    ge = cfg.gamma * cfg.eta_sp
-    return ge / (1.0 + ge * cfg.step_duration_s)
+    """Phonons removed per unit time while n >= 1: R = Gamma eta_SP p/(p + Gamma eta_SP tau_I)."""
+    ge, p = cfg.gamma * cfg.eta_sp, cfg.transfer_prob
+    return ge * p / (p + ge * cfg.step_duration_s)
 
 
 def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:

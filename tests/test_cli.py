@@ -447,6 +447,37 @@ def test_spectrum_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, t
     assert not out.exists()
 
 
+def run_main_refused(argv, capsys, flag):
+    """Run argv in-process; assert exit 1, no output, no warning and one `error:` line naming flag."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, err = run_main(argv, capsys)
+    assert code == 1 and stdout == ""
+    assert [str(w.message) for w in caught] == []
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and flag in lines[0]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--grayness", "5e-5", "--temperature-k", "inf"], "--temperature-k"),
+    (["--grayness", "5e-5", "--temperature-k", "nan"], "--temperature-k"),
+    (["--waist-um", "1e200", "--temperature-k", "5800"], "--waist-um"),
+], ids=["inf-temperature", "nan-temperature", "huge-waist"])
+def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    run_main_refused(["rate", "--ion", "ba138p", "--eta", "0.5", *flags, "--out", str(out)], capsys, named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("temperature", ["inf", "nan"])
+def test_reduce_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, temperature):
+    argv = write_reduce_inputs(tmp_path)
+    argv[argv.index("--temperature-k") + 1] = temperature
+    out = tmp_path / "out"
+    run_main_refused([*argv, "--out", str(out)], capsys, "--temperature-k")
+    assert not out.exists()
+
+
 def test_reduce_reads_a_reference_file(tmp_path, capsys):
     argv = write_reduce_inputs(tmp_path)
     bundled = ReferenceSolarSpectrum.load_bundled()

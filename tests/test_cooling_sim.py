@@ -9,7 +9,6 @@ import pytest
 from thermolight import (
     CycleConfig,
     cycle_rate,
-    default_transfer_prob,
     ensemble_stats,
     rate_equation_trajectory,
     simulate_ensemble,
@@ -37,12 +36,19 @@ def test_config_validation():
                 dict(n_initial=-1), dict(seed=-5)):
         with pytest.raises(ValueError):
             replace(BASE, **bad)
+    for bad in (-0.1, 1.1, math.nan, True, lambda n: 0.5):
+        with pytest.raises(ValueError, match="transfer_prob"):
+            replace(BASE, transfer_prob=bad)
 
 
 def test_default_transfer_prob():
-    assert default_transfer_prob(0) == 0.0
-    assert default_transfer_prob(1) == 1.0
-    assert default_transfer_prob(7) == 1.0
+    assert BASE.transfer_prob == 1.0
+    # every busy interval transfers: one per phonon, none once n = 0
+    c = simulate_trajectory(BASE).counters
+    assert (c["transfers"], c["empty_intervals"], c["stop_reason"]) == (BASE.n_initial, 0, "quiescent")
+    for traj in simulate_ensemble(replace(HEATED, t_max_s=0.5), 20):
+        dn = np.diff(traj.phonon_numbers)
+        assert not np.any((dn == -1) & (traj.phonon_numbers[:-1] == 0))
 
 
 def test_trajectory_determinism_and_seed_sensitivity():
@@ -103,7 +109,7 @@ def test_heating_only_is_poisson():
         seed=777_003,
         heating_rate=5.0,
         n_initial=0,
-        transfer_prob=lambda n: 0.0,
+        transfer_prob=0.0,
     )
     trajs = simulate_ensemble(cfg, 200)
     finals = np.array([tr.final_n for tr in trajs], dtype=float)
@@ -116,6 +122,10 @@ def test_heating_only_is_poisson():
         # every interval ends empty, the ones skipped at n = 0 included
         assert tr.counters["empty_intervals"] in (1999, 2000)
         assert tr.counters["transfers"] == 0
+    # with no cycles there is no phase lock to skip: the slope window opens at t = 0
+    stats = ensemble_stats(trajs)
+    assert stats.slope_window_s[0] == 0.0
+    assert abs(stats.slope_per_s - cfg.heating_rate) <= 4.0 * stats.slope_stderr
 
 
 def test_ensemble_reproducibility_and_distinct_members():
@@ -132,6 +142,11 @@ def test_ensemble_reproducibility_and_distinct_members():
 
     redo = simulate_trajectory(replace(BASE, seed=trajs1[3].config.seed))
     assert np.array_equal(redo.times_s, trajs1[3].times_s)
+    # members copy the validated config rather than rebuild it; they must equal a rebuilt one
+    seeds = np.random.SeedSequence(BASE.seed).generate_state(8, dtype=np.uint64)
+    for tr, seed in zip(trajs1, seeds):
+        assert type(tr.config.seed) is int
+        assert tr.config == replace(BASE, seed=int(seed))
 
 
 def test_ensemble_stats_rejects_mixed_configs():
@@ -198,6 +213,24 @@ def test_ensemble_steady_state_matches_markov_chain():
     stats = ensemble_stats(trajs)
     want = markov_steady_state_occupation(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.heating_rate)
     assert abs(stats.steady_state_n - want) < 4.0 * stats.steady_state_stderr
+
+
+# tau_I comparable to 1/(Gamma eta_SP), so that p = 0.6 moves both oracles by many standard errors
+def test_partial_transfer_slope_matches_renewal_rate():
+    cfg = replace(BASE, step_duration_s=0.05, t_max_s=8.0, seed=777_021, n_initial=30, transfer_prob=0.6)
+    stats = ensemble_stats(simulate_ensemble(cfg, 400))
+    want = -renewal_slope(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, transfer_prob=0.6)
+    assert abs(stats.slope_per_s - want) <= 3.0 * stats.slope_stderr
+    assert cycle_rate(cfg) == pytest.approx(-want, rel=1e-12)  # the rate equation's R takes the same p
+
+
+def test_partial_transfer_steady_state_matches_markov_chain():
+    cfg = CycleConfig(gamma=30.0, eta_sp=0.5, step_duration_s=0.05, t_max_s=6.0, seed=777_022,
+                      heating_rate=2.0, transfer_prob=0.6)
+    stats = ensemble_stats(simulate_ensemble(cfg, 400))
+    want = markov_steady_state_occupation(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.heating_rate,
+                                          transfer_prob=0.6)
+    assert abs(stats.steady_state_n - want) <= 3.0 * stats.steady_state_stderr
 
 
 def test_summary_dict_contents():
@@ -344,7 +377,7 @@ def test_long_window_steady_state_matches_markov_chain():
 @pytest.mark.parametrize("cfg", [
     BASE,
     HEATED,
-    replace(HEATED, n_initial=3, transfer_prob=lambda n: 0.6),
+    replace(HEATED, n_initial=3, transfer_prob=0.6),
 ], ids=["cooling", "heated", "heated-partial-transfer"])
 def test_trajectory_does_not_depend_on_the_uniform_block(monkeypatch, cfg):
     runs = []

@@ -134,8 +134,7 @@ def test_file_without_kind_line_round_trips_with_default_kind(s):
 
 @st.composite
 def cycle_configs(draw):
-    """Small random configs: short runs, few phonons, optional flat transfer probability."""
-    p = draw(st.one_of(st.none(), st.floats(0.0, 1.0)))
+    """Small random configs: short runs, few phonons, any transfer probability."""
     return CycleConfig(
         gamma=draw(st.floats(0.5, 200.0)),
         eta_sp=draw(st.floats(0.0, 1.0, exclude_min=True)),  # a cycle with eta_sp = 0 never completes
@@ -144,8 +143,8 @@ def cycle_configs(draw):
         seed=draw(st.integers(0, 2 ** 64 - 1)),
         heating_rate=draw(st.one_of(st.just(0.0), st.floats(0.1, 100.0))),
         n_initial=draw(st.integers(0, 5)),
-        # a flat p(n) also offers a transfer at n = 0, which the simulator must refuse
-        transfer_prob=None if p is None else (lambda n, p=p: p),
+        # the default or any p in [0, 1]; at n = 0 none may transfer
+        transfer_prob=draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0))),
     )
 
 
