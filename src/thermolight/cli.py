@@ -46,7 +46,7 @@ from .ion_thermo import (
     virtual_temperature,
     virtual_temperature_room_limit,
 )
-from .mode_optics import grayness, top_hat_area
+from .mode_optics import diffraction_limited_waist, grayness, top_hat_area
 from .radiometry import (
     AngularFrequency,
     Temperature,
@@ -243,9 +243,12 @@ _SPECTRA = {
 
 def cmd_spectrum(args) -> dict:
     _require(args, "temperature_k", "family", "domain")
-    lo, hi = args.band_nm
-    if not 0.0 < lo < hi:
-        raise ValueError(f"band must satisfy 0 < lo < hi, got [{lo}, {hi}]")
+    lo, hi = (real_value("--band-nm", v) for v in args.band_nm)
+    if not lo < hi:
+        raise ValueError(f"--band-nm must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+    # both domains convert the band to angular frequencies, the highest at lo
+    if not lo * NM > 0.0 or math.isinf(TWO_PI_C / (lo * NM)):
+        raise ValueError(f"--band-nm lower bound {lo!r} nm is too short to convert to an angular frequency")
     if args.points < 2:
         raise ValueError("need at least two grid points")
     t = Temperature(real_value("--temperature-k", args.temperature_k))
@@ -288,7 +291,12 @@ def cmd_rate(args) -> dict:
     omega2 = AngularFrequency(ion.omega2_rad_s)
     if args.waist_um is not None:
         # a focus wider than a metre is no focus; the ceiling keeps pi w0^2 finite
-        g = grayness(top_hat_area(real_value("--waist-um", args.waist_um, 0.0, 1e6) * 1e-6), omega2)
+        waist_m = real_value("--waist-um", args.waist_um, 0.0, 1e6) * 1e-6
+        smallest_m = diffraction_limited_waist(omega2)
+        if waist_m < smallest_m:
+            raise ValueError(f"--waist-um must be at least {smallest_m * 1e6:.4g}, the waist where G reaches 1 "
+                             f"at {omega2.wavelength_nm:.1f} nm, got {args.waist_um!r}")
+        g = grayness(top_hat_area(waist_m), omega2)
     else:
         g = args.grayness
     drive = CoolingDrive(

@@ -24,10 +24,12 @@ from .radiometry import (
     Temperature,
     as_temperature,
     planck_irradiance_per_wavelength,
+    planck_irradiance_per_wavelength_on_grid,
     q1d_psd_per_wavelength,
+    q1d_psd_per_wavelength_on_grid,
     real_value,
 )
-from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_csv
+from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_columns
 
 
 class FitConvergenceError(RuntimeError):
@@ -40,10 +42,10 @@ class _FixedKindSpectrum(SampledSpectrum):
     @classmethod
     def from_csv(cls, path):
         """Read a spectrum CSV of the class's kind; a file with no kind line is taken to be one."""
-        s = read_spectrum_csv(path, default_kind=cls.kind)
-        if s.kind != cls.kind:
-            raise ValueError(f"{path}: file is of kind {s.kind.value!r}, expected {cls.kind.value!r}")
-        return cls(s.wavelengths_nm, s.values)
+        wavelengths_nm, values, kind = read_spectrum_columns(path, default_kind=cls.kind)
+        if kind != cls.kind:
+            raise ValueError(f"{path}: file is of kind {kind.value!r}, expected {cls.kind.value!r}")
+        return cls(wavelengths_nm, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,12 +277,8 @@ class TemperatureFit:
     flagged: bool            # residual beyond the shape-consistency threshold
 
 
-def _model_shape(model: str, wavelengths_nm, temperature: Temperature) -> np.ndarray:
-    if model == "q1d":
-        return q1d_psd_per_wavelength(wavelengths_nm, temperature)
-    if model == "3d":
-        return planck_irradiance_per_wavelength(wavelengths_nm, temperature)
-    raise ValueError(f"unknown model {model!r}; expected 'q1d' or '3d'")
+# fit model -> its density per wavelength on a grid, as a function of beta = 1/(k_B T)
+_FIT_MODELS = {"q1d": q1d_psd_per_wavelength_on_grid, "3d": planck_irradiance_per_wavelength_on_grid}
 
 
 def fit_temperature(spectrum: SampledSpectrum, model: str = "q1d") -> TemperatureFit:
@@ -304,9 +302,12 @@ def fit_temperature(spectrum: SampledSpectrum, model: str = "q1d") -> Temperatur
     y_norm = math.sqrt(float(np.mean(y ** 2)))
     if y_norm == 0.0:
         raise ValueError("spectrum is identically zero")
+    if model not in _FIT_MODELS:
+        raise ValueError(f"unknown model {model!r}; expected 'q1d' or '3d'")
+    density = _FIT_MODELS[model](wl)  # the grid is validated and its factors computed once
 
     def misfit(t_k: float):
-        m = _model_shape(model, wl, Temperature(t_k))
+        m = density(Temperature(t_k).beta)
         mm = float(np.dot(m, m))
         if mm == 0.0:
             return math.inf, 0.0

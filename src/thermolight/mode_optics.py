@@ -145,6 +145,16 @@ def top_hat_area(waist_m: float) -> float:
     return math.pi * real_value("waist_m", waist_m) ** 2 / 2.0
 
 
+def _diffraction_area(omega) -> float:
+    """lambda^2 / (4 pi), the smallest area a single mode can be focused to."""
+    return (TWO_PI_C / omega_value(omega)) ** 2 / _FOUR_PI
+
+
+def diffraction_limited_waist(omega) -> float:
+    """The waist whose top-hat area is lambda^2 / (4 pi): lambda / (pi sqrt 2), where G reaches 1."""
+    return math.sqrt(2.0 * _diffraction_area(omega) / math.pi)
+
+
 def grayness(area_m2: float, omega) -> float:
     """Geometric grayness G = (lambda^2 / 4 pi) / A, in (0, 1].
 
@@ -152,8 +162,7 @@ def grayness(area_m2: float, omega) -> float:
     area A subtends. G > 1 would mean a sub-diffraction-limited area.
     """
     area_m2 = real_value("area_m2", area_m2)
-    lam = TWO_PI_C / omega_value(omega)
-    g = lam ** 2 / _FOUR_PI / area_m2
+    g = _diffraction_area(omega) / area_m2
     if g > 1.0:
         raise ValueError(f"grayness {g:.4g} exceeds 1: area below lambda^2/(4*pi)")
     return g

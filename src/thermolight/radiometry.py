@@ -156,18 +156,28 @@ def mean_occupation(omega, temperature: "Temperature | float"):
     return _bose(HBAR * omega_value(omega) * as_temperature(temperature).beta)
 
 
+def _planck_on_grid(omega, scale: float, jac):
+    """scale * B_omega * jac at these frequencies as an unvalidated kernel of beta = 1/(k_B T).
+
+    omega is validated and the grid factors computed here, once. scale is 1.0 for the radiance B and
+    pi for the exitance; jac is 1.0 per rad/s and |d omega/d lambda| per nm.
+    """
+    w = omega_value(omega)
+    hw, prefactor = HBAR * w, HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2)
+    return lambda beta: scale * (prefactor * _bose(hw * beta)) * jac
+
+
 def planck_radiance(omega, temperature: "Temperature | float"):
     """Blackbody spectral radiance per angular frequency.
 
     Units W m^-2 sr^-1 (rad/s)^-1.
     """
-    w = omega_value(omega)
-    return HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2) * mean_occupation(w, temperature)
+    return _planck_on_grid(omega, 1.0, 1.0)(as_temperature(temperature).beta)
 
 
 def planck_irradiance(omega, temperature: "Temperature | float"):
     """Blackbody spectral exitance pi * B_omega, W m^-2 (rad/s)^-1."""
-    return math.pi * planck_radiance(omega, temperature)
+    return _planck_on_grid(omega, math.pi, 1.0)(as_temperature(temperature).beta)
 
 
 def planck_energy_density(omega, temperature: "Temperature | float"):
@@ -179,6 +189,18 @@ def planck_energy_density(omega, temperature: "Temperature | float"):
     return HBAR * w ** 3 / (math.pi ** 2 * C ** 3) * mean_occupation(w, temperature)
 
 
+def _q1d_on_grid(omega, polarizations: int, jac):
+    """q1d_psd * jac at these frequencies as an unvalidated kernel of beta; inputs checked here, once; jac as above."""
+    pol = int_value("polarizations", polarizations, 1, 3)
+    hw = HBAR * omega_value(omega)
+    prefactor = (pol / 2.0) * (hw / math.pi)
+
+    def kernel(beta):
+        s = prefactor * _bose(hw * beta)
+        return (np.maximum(s, _TINY) if np.ndim(s) else max(s, _TINY)) * jac
+    return kernel
+
+
 def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
     """Thermal power spectral density guided in a single transverse mode.
 
@@ -187,10 +209,7 @@ def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
     one polarization carries half that. The return value is floored at the
     smallest positive double so the deep Wien tail stays positive.
     """
-    pol = int_value("polarizations", polarizations, 1, 3)
-    w = omega_value(omega)
-    s = (pol / 2.0) * (HBAR * w / math.pi) * mean_occupation(w, temperature)
-    return np.maximum(s, _TINY) if np.ndim(s) else max(s, _TINY)
+    return _q1d_on_grid(omega, polarizations, 1.0)(as_temperature(temperature).beta)
 
 
 def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) -> float:
@@ -202,16 +221,26 @@ def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) 
     return (pol / 2.0) * math.pi * (K_B * t.kelvin) ** 2 / (6.0 * HBAR)
 
 
+def q1d_psd_per_wavelength_on_grid(wavelength_nm, polarizations: int = 2):
+    """q1d_psd_per_wavelength at these wavelengths as a function of beta = 1/(k_B T), validated once."""
+    lam, w = _wavelength_and_omega(wavelength_nm)
+    return _q1d_on_grid(w, polarizations, domega_dlambda(lam))
+
+
+def planck_irradiance_per_wavelength_on_grid(wavelength_nm):
+    """planck_irradiance_per_wavelength at these wavelengths as a function of beta, validated once."""
+    lam, w = _wavelength_and_omega(wavelength_nm)
+    return _planck_on_grid(w, math.pi, domega_dlambda(lam))
+
+
 def q1d_psd_per_wavelength(wavelength_nm, temperature: "Temperature | float", polarizations: int = 2):
     """Single-mode thermal PSD expressed per wavelength interval, W/nm."""
-    lam, w = _wavelength_and_omega(wavelength_nm)
-    return q1d_psd(w, temperature, polarizations) * domega_dlambda(lam)
+    return q1d_psd_per_wavelength_on_grid(wavelength_nm, polarizations)(as_temperature(temperature).beta)
 
 
 def planck_irradiance_per_wavelength(wavelength_nm, temperature: "Temperature | float"):
     """Blackbody spectral exitance pi * B_lambda, W m^-2 nm^-1."""
-    lam, w = _wavelength_and_omega(wavelength_nm)
-    return planck_irradiance(w, temperature) * domega_dlambda(lam)
+    return planck_irradiance_per_wavelength_on_grid(wavelength_nm)(as_temperature(temperature).beta)
 
 
 @lru_cache(maxsize=None)

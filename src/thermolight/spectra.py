@@ -7,7 +7,8 @@ kind conversion share one quadrature rule and conserve power to rounding.
 CSV format: optional comment lines starting with '#', one of which names
 the kind as '# kind=<kind>' (required unless the reader is given a default
 kind), then a 'wavelength_nm,value' header and data rows. UTF-8, LF line
-endings.
+endings; the reader also takes CRLF, and comments, blank lines and headers
+anywhere in the file.
 """
 
 from __future__ import annotations
@@ -176,31 +177,55 @@ def write_spectrum_csv(path: "str | os.PathLike", spectrum: SampledSpectrum) -> 
     atomic_write_text(path, spectrum_to_csv_text(spectrum))
 
 
-def read_spectrum_csv(
+# rows parsed at once: a bound on the strings alive together, not on speed
+_PARSE_BLOCK = 128
+
+
+def _raise_bad_row(path, rows: list, linenos: list) -> None:
+    """Raise for the first row that is not two numbers, naming its path:lineno."""
+    for lineno, line in zip(linenos, rows):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'wavelength_nm,value', got {line!r}")
+        try:
+            float(parts[0]), float(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
+
+
+def read_spectrum_columns(
     path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None
-) -> SampledSpectrum:
-    """Read a spectrum CSV; without a '# kind=' comment the kind is default_kind, if given."""
+) -> "tuple[np.ndarray, np.ndarray, SpectrumKind]":
+    """Wavelengths, values and kind of a spectrum CSV, not yet checked as a spectrum (see the module docstring)."""
     kind = default_kind
-    rows = []
+    rows, linenos = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("kind="):
-                    kind = body[len("kind="):].strip()
-                continue
-            if line.lower().replace(" ", "") == "wavelength_nm,value":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'wavelength_nm,value', got {line!r}")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line.startswith("#"):
+                    body = line[1:].strip()
+                    if body.startswith("kind="):
+                        kind = body[len("kind="):].strip()
+                # only a line starting with w or W can be the header
+                elif line and not (line[0] in "wW" and line.lower().replace(" ", "") == "wavelength_nm,value"):
+                    rows.append(line)
+                    linenos.append(lineno)
+        except UnicodeDecodeError:
+            _raise_bad_row(path, rows, linenos)  # a bad row before the undecodable bytes is reported first
+            raise
+    table = np.empty(2 * len(rows))
+    for start in range(0, len(rows), _PARSE_BLOCK):
+        block = rows[start:start + _PARSE_BLOCK]
+        # rows joined by an empty field, which stays in every third place only if each row has two fields
+        fields = ",,".join(block).split(",")
+        try:
+            if len(fields) != 3 * len(block) - 1 or any(fields[2::3]):
+                raise ValueError("a row without two fields")
+            del fields[2::3]
+            table[2 * start:2 * start + len(fields)] = list(map(float, fields))
+        except ValueError:
+            _raise_bad_row(path, block, linenos[start:])
     if kind is None:
         raise ValueError(f"{path}: missing '# kind=<kind>' header comment")
     try:
@@ -209,6 +234,9 @@ def read_spectrum_csv(
         raise ValueError(f"{path}: unknown spectrum kind {kind!r}") from None
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    wl = np.array([r[0] for r in rows])
-    vals = np.array([r[1] for r in rows])
-    return SampledSpectrum(wl, vals, kind_enum)
+    return table[0::2], table[1::2], kind_enum
+
+
+def read_spectrum_csv(path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None) -> SampledSpectrum:
+    """Read a spectrum CSV; without a '# kind=' comment the kind is default_kind, if given."""
+    return SampledSpectrum(*read_spectrum_columns(path, default_kind))

@@ -462,10 +462,36 @@ def run_main_refused(argv, capsys, flag):
     (["--grayness", "5e-5", "--temperature-k", "inf"], "--temperature-k"),
     (["--grayness", "5e-5", "--temperature-k", "nan"], "--temperature-k"),
     (["--waist-um", "1e200", "--temperature-k", "5800"], "--waist-um"),
-], ids=["inf-temperature", "nan-temperature", "huge-waist"])
+    (["--waist-um", "0.01", "--temperature-k", "5800"], "--waist-um must be at least 0.1383,"),
+    (["--waist-um", "1e-300", "--temperature-k", "5800"], "--waist-um must be at least 0.1383,"),
+], ids=["inf-temperature", "nan-temperature", "huge-waist", "sub-diffraction-waist", "tiny-waist"])
 def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     run_main_refused(["rate", "--ion", "ba138p", "--eta", "0.5", *flags, "--out", str(out)], capsys, named)
+    assert not out.exists()
+
+
+def test_rate_takes_the_smallest_waist_it_names(tmp_path, capsys):
+    # the refusal names lambda_2 / (pi sqrt 2) = 0.13828 um; just above it G is just below 1
+    argv = ["rate", "--ion", "ba138p", "--eta", "0.5", "--temperature-k", "5800", "--json", "--out", str(tmp_path)]
+    code, out, err = run_main([*argv, "--waist-um", "0.1383"], capsys)
+    assert code == 0, err
+    assert 0.999 < json.loads(out)["inputs"]["grayness"] <= 1.0
+    run_main_refused([*argv, "--waist-um", "0.1382"], capsys, "--waist-um")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--domain", "omega", "--band-nm", "1e-300", "2e-300"],
+    ["--domain", "wavelength", "--band-nm", "1e-300", "2e-300"],
+    ["--domain", "wavelength", "--band-nm", "5e-324", "1"],
+    ["--domain", "omega", "--band-nm", "300", "inf"],
+    ["--domain", "wavelength", "--band-nm", "nan", "900"],
+], ids=["omega-subnormal-band", "wavelength-subnormal-band", "smallest-double", "omega-inf", "nan"])
+@pytest.mark.parametrize("family", ["q1d", "planck"])
+def test_spectrum_refuses_a_band_it_cannot_convert(tmp_path, capsys, flags, family):
+    out = tmp_path / "out"
+    params = {**BASE_PARAMS["spectrum"], "family": family}
+    run_main_refused(["spectrum", *as_flags(params), *flags, "--out", str(out)], capsys, "--band-nm")
     assert not out.exists()
 
 

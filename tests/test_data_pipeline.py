@@ -85,6 +85,14 @@ def test_csv_of_another_kind_is_rejected(tmp_path):
     assert ReferenceSolarSpectrum.from_csv(path).kind == SpectrumKind.IRRADIANCE_PER_WAVELENGTH
 
 
+def test_kind_mismatch_is_reported_before_the_values(tmp_path):
+    # the subclass is built once, after the kind check, so a wrong kind is named first
+    path = tmp_path / "resp.csv"
+    path.write_text("# kind=counts\n400.0,-1.0\n500.0,0.6\n")
+    with pytest.raises(ValueError, match=r"resp\.csv.*'counts'.*'ratio'"):
+        InstrumentResponse.from_csv(path)
+
+
 def test_apply_response_identity_and_scale():
     grid = np.arange(400.0, 901.0, 2.0)
     raw = SampledSpectrum(grid, np.linspace(1.0, 2.0, grid.size), SpectrumKind.COUNTS)

@@ -10,6 +10,7 @@ from thermolight import (
     AngularFrequency,
     FiberModeModel,
     FocusGeometry,
+    diffraction_limited_waist,
     divergence_half_angle,
     focused_energy_density,
     gaussian_angular_radiance,
@@ -38,6 +39,15 @@ def test_grayness_formula_and_bound():
     # a focal spot smaller than one mode's worth is unphysical
     with pytest.raises(ValueError):
         grayness(1e-15, w)
+
+
+def test_diffraction_limited_waist_is_where_grayness_reaches_one():
+    w = AngularFrequency.from_wavelength_nm(614.3)
+    w0 = diffraction_limited_waist(w)
+    assert w0 == pytest.approx(w.wavelength_m / (math.pi * math.sqrt(2.0)), rel=1e-15)
+    assert grayness(top_hat_area(1.001 * w0), w) == pytest.approx(1.0 / 1.001 ** 2, rel=1e-12)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        grayness(top_hat_area(0.999 * w0), w)
 
 
 def test_etendue_product_both_regimes():

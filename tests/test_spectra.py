@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermolight import (
     InstrumentResponse,
@@ -149,3 +151,127 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     atomic_write_text(path, "second")
     assert path.read_text() == "second"
     assert list(tmp_path.iterdir()) == [path]  # no temp files left behind
+
+
+# -- the reader's contract: accepted layouts and exact error messages ---------
+
+_ROWS = ["400.0,1.0", "450.0,2.0", "500.0,3.0", "550.0,4.0", "600.0,5.0"]
+_HEAD = "# kind=counts\nwavelength_nm,value\n"  # data rows start on line 3
+
+
+def _write(tmp_path, text: str, name: str = "s.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("500.0", "expected 'wavelength_nm,value', got '500.0'"),
+    ("500.0,1.0,2.0", "expected 'wavelength_nm,value', got '500.0,1.0,2.0'"),
+    ("500.0,abc", "non-numeric row '500.0,abc'"),
+], ids=["short", "three-fields", "non-numeric"])
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+def test_csv_reader_names_the_line_of_a_bad_row(tmp_path, bad, message, at):
+    rows = list(_ROWS)
+    rows[at] = bad
+    path = _write(tmp_path, _HEAD + "\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}:{3 + at}: {message}"
+    if message.startswith("non-numeric"):
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "could not convert string to float: 'abc'"
+    else:
+        assert info.value.__cause__ is None
+
+
+def test_csv_reader_reports_the_first_bad_row_before_any_file_level_error(tmp_path):
+    # no kind line and too few rows, but the bad rows come first, in file order
+    path = _write(tmp_path, "wavelength_nm,value\n400.0,x\n1,2,3\n")
+    with pytest.raises(ValueError, match=r":2: non-numeric row '400.0,x'$"):
+        read_spectrum_csv(path)
+    # fields that balance across rows (one short, one long) are still refused at the first
+    path = _write(tmp_path, _HEAD + "400.0\n450.0,1.0,2.0\n500.0,3.0\n")
+    with pytest.raises(ValueError, match=r":3: expected 'wavelength_nm,value', got '400.0'$"):
+        read_spectrum_csv(path)
+
+
+def test_csv_reader_reads_crlf_line_endings(tmp_path):
+    path = _write(tmp_path, "# kind=counts\r\nwavelength_nm,value\r\n400.0,1.0\r\n500.0,2.5\r\n")
+    s = read_spectrum_csv(path)
+    assert s.kind == SpectrumKind.COUNTS
+    assert s.wavelengths_nm.tolist() == [400.0, 500.0]
+    assert s.values.tolist() == [1.0, 2.5]
+    bad = _write(tmp_path, "# kind=counts\r\n400.0,1.0\r\n500.0;2.5\r\n", "bad.csv")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(bad)
+    assert str(info.value) == f"{bad}:3: expected 'wavelength_nm,value', got '500.0;2.5'"
+
+
+def test_csv_reader_skips_comments_blank_lines_and_headers_anywhere(tmp_path):
+    text = (
+        "\n# a comment\nwavelength_nm,value\n400.0,1.0\n\n  # another, with a comma\n"
+        "Wavelength_NM, Value\n  450.0 , 2.0  \n\n500.0,3.0\n# kind=ratio\n"
+    )
+    s = read_spectrum_csv(_write(tmp_path, text))
+    assert s.kind == SpectrumKind.RATIO  # the kind line may follow the data
+    assert s.wavelengths_nm.tolist() == [400.0, 450.0, 500.0]
+    assert s.values.tolist() == [1.0, 2.0, 3.0]
+    # of several kind lines the last one counts; a default kind yields to any of them
+    twice = _write(tmp_path, "# kind=ratio\n400.0,1.0\n500.0,2.0\n#kind= counts \n", "twice.csv")
+    assert read_spectrum_csv(twice, default_kind=SpectrumKind.RATIO).kind == SpectrumKind.COUNTS
+
+
+def test_csv_reader_file_level_errors(tmp_path):
+    no_kind = _write(tmp_path, "wavelength_nm,value\n400.0,1.0\n500.0,2.0\n", "a.csv")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(no_kind)
+    assert str(info.value) == f"{no_kind}: missing '# kind=<kind>' header comment"
+    unknown = _write(tmp_path, "# kind=photons\n400.0,1.0\n", "b.csv")  # unknown kind before too few rows
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(unknown)
+    assert str(info.value) == f"{unknown}: unknown spectrum kind 'photons'"
+    assert info.value.__cause__ is None
+    one_row = _write(tmp_path, _HEAD + "400.0,1.0\n", "c.csv")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(one_row)
+    assert str(info.value) == f"{one_row}: need at least two data rows"
+    empty = _write(tmp_path, "# kind=counts\n", "d.csv")
+    with pytest.raises(ValueError, match="need at least two data rows"):
+        read_spectrum_csv(empty)
+
+
+def test_csv_reader_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"# kind=counts\n# \xe9talon\n400.0,1.0\n500.0,2.0\n")
+    with pytest.raises(UnicodeDecodeError):  # a ValueError, so the CLI reports it as one line
+        read_spectrum_csv(path)
+    # a bad row read before the undecodable bytes is reported first, as the file is read in order
+    rows = "".join(f"{400.0 + k},1.0\n" for k in range(2000))  # well past one 8 KiB read
+    path.write_bytes(b"# kind=counts\n400.0,x\n" + rows.encode() + b"# \xe9\n")
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert not isinstance(info.value, UnicodeDecodeError)
+    assert str(info.value) == f"{path}:2: non-numeric row '400.0,x'"
+
+
+_finite_values = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e308]),
+    st.floats(0.0, 1e308, allow_subnormal=True),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_csv_round_trip_is_bit_exact_and_rewrites_the_same_bytes(tmp_path_factory, data):
+    grid = sorted(data.draw(st.lists(st.floats(5e-324, 1e308), min_size=2, max_size=40, unique=True)))
+    values = data.draw(st.lists(_finite_values, min_size=len(grid), max_size=len(grid)))
+    s = SampledSpectrum(np.array(grid), np.array(values), SpectrumKind.RATIO)
+    path = tmp_path_factory.mktemp("rt") / "s.csv"
+    write_spectrum_csv(path, s)
+    first = path.read_bytes()
+    back = read_spectrum_csv(path)
+    assert back.wavelengths_nm.tobytes() == s.wavelengths_nm.tobytes()
+    assert back.values.tobytes() == s.values.tobytes()
+    write_spectrum_csv(path, back)
+    assert path.read_bytes() == first
