@@ -22,9 +22,7 @@ from .spectra import SampledSpectrum, SpectrumKind, convert_spectral_domain, rea
 from .mode_optics import (
     FiberModeModel,
     FocusGeometry,
-    diffraction_limited_waist,
     divergence_half_angle,
-    focused_energy_density,
     gaussian_angular_radiance,
     grayness,
     mode_area,

@@ -46,8 +46,9 @@ from .ion_thermo import (
     virtual_temperature,
     virtual_temperature_room_limit,
 )
-from .mode_optics import diffraction_limited_waist, grayness, top_hat_area
+from .mode_optics import FocusGeometry, grayness, top_hat_area
 from .radiometry import (
+    DENSITY_BAND_NM,
     AngularFrequency,
     Temperature,
     planck_irradiance,
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=["q1d", "planck"], help="single-mode PSD or blackbody irradiance")
     p.add_argument("--domain", choices=["omega", "wavelength"], help="density per rad/s or per nm")
     p.add_argument("--band-nm", type=float, nargs=2, metavar=("LO", "HI"), default=[300.0, 1200.0],
-                   help="wavelength band (default %(default)s)")
+                   help="wavelength band, each bound within [%.3g, %.3g] nm, where every density and its Jacobian "
+                        "are finite doubles (default %%(default)s)" % DENSITY_BAND_NM)
     p.add_argument("--points", type=int, default=601, help="grid size (default %(default)s)")
     p.add_argument("--polarizations", type=int, choices=[1, 2], default=2,
                    help="q1d polarization count (default %(default)s)")
@@ -243,12 +245,9 @@ _SPECTRA = {
 
 def cmd_spectrum(args) -> dict:
     _require(args, "temperature_k", "family", "domain")
-    lo, hi = (real_value("--band-nm", v) for v in args.band_nm)
+    lo, hi = (real_value("--band-nm", v, *DENSITY_BAND_NM, open_lo=False) for v in args.band_nm)
     if not lo < hi:
         raise ValueError(f"--band-nm must satisfy lo < hi, got [{lo!r}, {hi!r}]")
-    # both domains convert the band to angular frequencies, the highest at lo
-    if not lo * NM > 0.0 or math.isinf(TWO_PI_C / (lo * NM)):
-        raise ValueError(f"--band-nm lower bound {lo!r} nm is too short to convert to an angular frequency")
     if args.points < 2:
         raise ValueError("need at least two grid points")
     t = Temperature(real_value("--temperature-k", args.temperature_k))
@@ -292,11 +291,11 @@ def cmd_rate(args) -> dict:
     if args.waist_um is not None:
         # a focus wider than a metre is no focus; the ceiling keeps pi w0^2 finite
         waist_m = real_value("--waist-um", args.waist_um, 0.0, 1e6) * 1e-6
-        smallest_m = diffraction_limited_waist(omega2)
-        if waist_m < smallest_m:
-            raise ValueError(f"--waist-um must be at least {smallest_m * 1e6:.4g}, the waist where G reaches 1 "
-                             f"at {omega2.wavelength_nm:.1f} nm, got {args.waist_um!r}")
-        g = grayness(top_hat_area(waist_m), omega2)
+        try:
+            focus = FocusGeometry.from_waist(waist_m, omega2)
+        except ValueError as exc:
+            raise ValueError(f"--waist-um {args.waist_um!r} is outside the paraxial focus model: {exc}") from None
+        g = grayness(top_hat_area(focus.waist_m), omega2)
     else:
         g = args.grayness
     drive = CoolingDrive(

@@ -95,10 +95,6 @@ class CoolingTrajectory:
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "phonon_numbers", n)
 
-    @property
-    def final_n(self) -> int:
-        return int(self.phonon_numbers[-1])
-
     def time_average(self, t0: float, t1: float) -> float:
         """Time average of the piecewise-constant n over [t0, t1]."""
         if not (0.0 <= t0 < t1 <= self.config.t_max_s + 1e-12):

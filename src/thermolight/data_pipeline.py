@@ -166,12 +166,6 @@ class AtmosphericCorrection(SampledSpectrum):
     amplitude: float
     temperature: Temperature
 
-    def expected_q1d_psd(self, grid_nm=None) -> SampledSpectrum:
-        """Expected single-mode PSD at ground level: c(lambda) * S_lambda(lambda, T)."""
-        g = self.wavelengths_nm if grid_nm is None else np.asarray(grid_nm, dtype=float)
-        ideal = q1d_psd_per_wavelength(g, self.temperature)
-        return SampledSpectrum(g, self.interpolate(g) * ideal, SpectrumKind.PSD_PER_WAVELENGTH)
-
 
 def atmospheric_correction(reference: ReferenceSolarSpectrum, temperature) -> AtmosphericCorrection:
     """Build c(lambda) = ref / (a * Planck_lambda) with a fitted by least squares.

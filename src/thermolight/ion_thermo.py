@@ -105,16 +105,6 @@ class IonSpec:
             raise ValueError(f"missing atomic-data keys: {sorted(missing)}")
         return cls(**{cls._SCHEMA[k]: v for k, v in d.items()})
 
-    def to_dict(self) -> dict:
-        back = {v: k for k, v in self._SCHEMA.items()}
-        d = {}
-        for field_name, key in back.items():
-            v = getattr(self, field_name)
-            if field_name == "a_pd_driven_s" and v is None:
-                continue
-            d[key] = list(v) if field_name == "references" else v
-        return d
-
     @classmethod
     def from_json_file(cls, path) -> "IonSpec":
         with open(path, "r", encoding="utf-8") as fh:
@@ -264,7 +254,6 @@ def virtual_temperature_room_limit(ion: IonSpec, t_room: "Temperature | float", 
 class OccupationReport:
     n_exact: float          # Bose factor 1/(e^x - 1)
     n_wien: float           # e^-x approximation
-    difference: float       # n_exact - n_wien
 
 
 def ground_state_occupation(t_v: "Temperature | float", omega_motion) -> OccupationReport:
@@ -274,4 +263,4 @@ def ground_state_occupation(t_v: "Temperature | float", omega_motion) -> Occupat
     n_exact = mean_occupation(wm, t)
     x = HBAR * wm * t.beta
     n_wien = math.exp(-x) if x < 745.0 else 0.0
-    return OccupationReport(n_exact=n_exact, n_wien=n_wien, difference=n_exact - n_wien)
+    return OccupationReport(n_exact=n_exact, n_wien=n_wien)

@@ -1,22 +1,21 @@
 """Single-mode beam geometry: mode area, solid angle, grayness, focusing.
 
 A single transverse mode has etendue A(omega) * Omega(omega) = lambda^2.
-Fixing either the divergence solid angle or the focal area pins the other;
-a tabulated regime covers measured mode areas.
+Fixing either the divergence solid angle or the focal area pins the other.
+A Gaussian focus is checked against the paraxial limit: a divergence half
+angle above 0.1 rad warns, one above 0.3 rad is refused.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C, NM, TWO_PI_C
 from .radiometry import omega_value, real_value
-from .spectra import atomic_write_text
 
 _FOUR_PI = 4.0 * math.pi
 
@@ -24,15 +23,7 @@ _FOUR_PI = 4.0 * math.pi
 _REGIME_FIELDS = {
     "constant_divergence": ("omega0_sr",),
     "constant_area": ("area_m2",),
-    "tabulated": ("table_wavelength_nm", "table_area_m2"),
 }
-
-
-def _real_tuple(label: str, values) -> tuple:
-    """A one-dimensional sequence of finite positive reals, as a tuple of floats."""
-    if np.ndim(values) != 1:
-        raise ValueError(f"{label} must be a list of numbers, got {values!r}")
-    return tuple(real_value(label, v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -41,18 +32,15 @@ class FiberModeModel:
 
     regime 'constant_divergence': solid angle omega0_sr is frequency
     independent, A = lambda^2 / omega0_sr. regime 'constant_area': A is
-    fixed at area_m2. regime 'tabulated': A interpolated linearly from a
-    measured table. band_nm bounds the wavelengths the model may be
-    evaluated at. A model leaves the other regimes' fields None; it holds
-    its tables as tuples, so it compares and hashes by value.
+    fixed at area_m2. band_nm bounds the wavelengths the model may be
+    evaluated at. A model leaves the other regime's field None; it holds
+    band_nm as a tuple, so it compares and hashes by value.
     """
 
     regime: str
     band_nm: tuple
     omega0_sr: "float | None" = None
     area_m2: "float | None" = None
-    table_wavelength_nm: "tuple | None" = None
-    table_area_m2: "tuple | None" = None
 
     def __post_init__(self):
         if not isinstance(self.regime, str) or self.regime not in _REGIME_FIELDS:
@@ -61,25 +49,16 @@ class FiberModeModel:
                  for name in names if getattr(self, name) is not None]
         if stray:
             raise ValueError(f"regime {self.regime!r} takes no {', '.join(stray)}")
-        band = _real_tuple("band_nm", self.band_nm)
+        if np.ndim(self.band_nm) != 1:
+            raise ValueError(f"band_nm must be a list of numbers, got {self.band_nm!r}")
+        band = tuple(real_value("band_nm", v) for v in self.band_nm)
         if len(band) != 2 or not band[0] < band[1]:
             raise ValueError(f"band_nm must be (lo, hi) with 0 < lo < hi, got {self.band_nm!r}")
         object.__setattr__(self, "band_nm", band)
         if self.regime == "constant_divergence":
             object.__setattr__(self, "omega0_sr", real_value("omega0_sr", self.omega0_sr, hi=_FOUR_PI))
-        elif self.regime == "constant_area":
-            object.__setattr__(self, "area_m2", real_value("area_m2", self.area_m2))
         else:
-            wl = _real_tuple("table_wavelength_nm", self.table_wavelength_nm)
-            ar = _real_tuple("table_area_m2", self.table_area_m2)
-            if len(wl) < 2 or len(ar) != len(wl):
-                raise ValueError("tabulated regime needs equal-length wavelength and area tables, two rows or more")
-            if any(b <= a for a, b in zip(wl, wl[1:])):
-                raise ValueError("table wavelengths must be strictly increasing")
-            if band[0] < wl[0] or band[1] > wl[-1]:
-                raise ValueError("band_nm extends beyond the tabulated wavelength range")
-            object.__setattr__(self, "table_wavelength_nm", wl)
-            object.__setattr__(self, "table_area_m2", ar)
+            object.__setattr__(self, "area_m2", real_value("area_m2", self.area_m2))
 
     def _check_band(self, wavelength_nm: float) -> None:
         lo, hi = self.band_nm
@@ -88,45 +67,12 @@ class FiberModeModel:
                 f"wavelength {wavelength_nm:.6g} nm outside model band [{lo:.6g}, {hi:.6g}] nm"
             )
 
-    # -- JSON ------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        d = {"regime": self.regime}
-        for name in ("band_nm", *_REGIME_FIELDS[self.regime]):
-            v = getattr(self, name)
-            d[name] = list(v) if isinstance(v, tuple) else v
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FiberModeModel":
-        if not isinstance(d, dict):
-            raise ValueError(f"mode model must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown mode-model keys: {sorted(unknown)}")
-        if "band_nm" not in d or "regime" not in d:
-            raise ValueError("mode model requires 'regime' and 'band_nm'")
-        return cls(**d)
-
-    @classmethod
-    def from_json_file(cls, path) -> "FiberModeModel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
-
-    def to_json_file(self, path) -> None:
-        atomic_write_text(path, json.dumps(self.to_json_dict(), indent=2) + "\n")
-
 
 def mode_area(model: FiberModeModel, omega) -> float:
     """Mode area A(omega) in m^2 under the model's regime."""
     lam = TWO_PI_C / omega_value(omega)
-    lam_nm = lam / NM
-    model._check_band(lam_nm)
-    if model.regime == "constant_divergence":
-        return lam ** 2 / model.omega0_sr
-    if model.regime == "constant_area":
-        return model.area_m2
-    return float(np.interp(lam_nm, model.table_wavelength_nm, model.table_area_m2))
+    model._check_band(lam / NM)
+    return lam ** 2 / model.omega0_sr if model.regime == "constant_divergence" else model.area_m2
 
 
 def mode_solid_angle(model: FiberModeModel, omega) -> float:
@@ -150,11 +96,6 @@ def _diffraction_area(omega) -> float:
     return (TWO_PI_C / omega_value(omega)) ** 2 / _FOUR_PI
 
 
-def diffraction_limited_waist(omega) -> float:
-    """The waist whose top-hat area is lambda^2 / (4 pi): lambda / (pi sqrt 2), where G reaches 1."""
-    return math.sqrt(2.0 * _diffraction_area(omega) / math.pi)
-
-
 def grayness(area_m2: float, omega) -> float:
     """Geometric grayness G = (lambda^2 / 4 pi) / A, in (0, 1].
 
@@ -166,16 +107,6 @@ def grayness(area_m2: float, omega) -> float:
     if g > 1.0:
         raise ValueError(f"grayness {g:.4g} exceeds 1: area below lambda^2/(4*pi)")
     return g
-
-
-def focused_energy_density(psd_w_per_rad_s: float, area_m2: float) -> float:
-    """Spectral energy density S/(A c) at the focus of a guided beam.
-
-    Units J m^-3 (rad/s)^-1. For a thermal single-mode PSD this equals
-    G * planck_energy_density by the étendue closure.
-    """
-    psd = real_value("psd_w_per_rad_s", psd_w_per_rad_s, open_lo=False)
-    return psd / (real_value("area_m2", area_m2) * C)
 
 
 def divergence_half_angle(waist_m: float, omega) -> float:

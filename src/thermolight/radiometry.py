@@ -10,6 +10,7 @@ frequencies or wavelengths (and return an array); temperature is scalar.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +24,15 @@ _TINY = math.ulp(0.0)
 
 # exp overflows above ~709; past this point 1/(e^x - 1) == e^-x exactly.
 _EXP_CUT = 700.0
+
+# Wavelengths in nm: from _SHORTEST_NM up, 2 pi c / lambda is a finite double; within _JACOBIAN_NM the
+# Jacobian 2 pi c / lambda^2 of the per-wavelength densities is one too. Both bounds are closed.
+_DBL_MAX = sys.float_info.max
+_SHORTEST_NM = TWO_PI_C / _DBL_MAX / NM
+_JACOBIAN_NM = (math.sqrt(TWO_PI_C / _DBL_MAX) / NM, math.sqrt(_DBL_MAX) / NM)
+# The closed band, about [3.34e-85, 1.34e163] nm, in which omega^3 of the Planck prefactor is finite
+# as well: there every density's frequency factors and Jacobian are finite doubles.
+DENSITY_BAND_NM = (TWO_PI_C / _DBL_MAX ** (1 / 3) / NM, _JACOBIAN_NM[1])
 
 
 # Concrete types, not numbers.Real/Integral: an ABC isinstance costs about
@@ -96,7 +106,7 @@ class AngularFrequency:
 
     @classmethod
     def from_wavelength_nm(cls, wavelength_nm: float) -> "AngularFrequency":
-        return cls(TWO_PI_C / (real_value("wavelength_nm", wavelength_nm) * NM))
+        return cls(TWO_PI_C / (real_value("wavelength_nm", wavelength_nm, _SHORTEST_NM, open_lo=False) * NM))
 
     @property
     def wavelength_m(self) -> float:
@@ -137,7 +147,8 @@ def _wavelength_and_omega(wavelength_nm):
     if np.ndim(wavelength_nm):
         lam = _positive_array(wavelength_nm, "wavelengths")
         return lam, TWO_PI_C / (lam * NM)
-    return float(wavelength_nm), AngularFrequency.from_wavelength_nm(wavelength_nm).rad_per_s
+    lam = real_value("wavelength_nm", wavelength_nm, *_JACOBIAN_NM, open_lo=False)
+    return lam, AngularFrequency.from_wavelength_nm(lam).rad_per_s
 
 
 def _bose(x):

@@ -92,10 +92,6 @@ class SampledSpectrum:
             raise ValueError(f"requested wavelengths outside sampled band [{lo}, {hi}] nm")
         return np.interp(g, self.wavelengths_nm, self.values)
 
-    def resample(self, grid_nm) -> "SampledSpectrum":
-        g = _as_grid(grid_nm)
-        return SampledSpectrum(g, self.interpolate(g), self.kind)
-
     # -- integration -----------------------------------------------------
 
     def _wavelength_density(self) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -109,7 +110,8 @@ def test_rate_rejects_conflicting_geometry(tmp_path):
 ], ids=["bool-g_e", "huge-A_PS_s", "int-references", "list", "int-name"])
 def test_rate_rejects_bad_atomic_data(tmp_path, capsys, broken):
     ion_file = tmp_path / "ion.json"
-    ion_file.write_text(json.dumps(broken(load_ion().to_dict())))
+    bundled = json.loads(resources.files("thermolight.data").joinpath("ba138p.json").read_text("utf-8"))
+    ion_file.write_text(json.dumps(broken(bundled)))
     code, out, err = run_main(["rate", "--ion", str(ion_file), "--grayness", "5e-5", "--eta", "0.5",
                                "--temperature-k", "5800", "--out", str(tmp_path / "out")], capsys)
     assert code == 1 and out == ""
@@ -462,9 +464,11 @@ def run_main_refused(argv, capsys, flag):
     (["--grayness", "5e-5", "--temperature-k", "inf"], "--temperature-k"),
     (["--grayness", "5e-5", "--temperature-k", "nan"], "--temperature-k"),
     (["--waist-um", "1e200", "--temperature-k", "5800"], "--waist-um"),
-    (["--waist-um", "0.01", "--temperature-k", "5800"], "--waist-um must be at least 0.1383,"),
-    (["--waist-um", "1e-300", "--temperature-k", "5800"], "--waist-um must be at least 0.1383,"),
-], ids=["inf-temperature", "nan-temperature", "huge-waist", "sub-diffraction-waist", "tiny-waist"])
+    (["--waist-um", "0.3", "--temperature-k", "5800"], "--waist-um 0.3 is outside the paraxial focus model"),
+    (["--waist-um", "0.01", "--temperature-k", "5800"], "--waist-um 0.01 is outside the paraxial focus model"),
+    (["--waist-um", "1e-300", "--temperature-k", "5800"], "--waist-um 1e-300 is outside the paraxial focus model"),
+], ids=["inf-temperature", "nan-temperature", "huge-waist", "non-paraxial-waist", "sub-diffraction-waist",
+        "tiny-waist"])
 def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     run_main_refused(["rate", "--ion", "ba138p", "--eta", "0.5", *flags, "--out", str(out)], capsys, named)
@@ -472,12 +476,15 @@ def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
 
 
 def test_rate_takes_the_smallest_waist_it_names(tmp_path, capsys):
-    # the refusal names lambda_2 / (pi sqrt 2) = 0.13828 um; just above it G is just below 1
+    # the half angle lambda_2 / (pi w0) reaches the paraxial model's 0.3 rad at w0 = 0.65184 um; down to
+    # there a waist is taken with a warning, and above 1.9555 um (0.1 rad) without one
     argv = ["rate", "--ion", "ba138p", "--eta", "0.5", "--temperature-k", "5800", "--json", "--out", str(tmp_path)]
-    code, out, err = run_main([*argv, "--waist-um", "0.1383"], capsys)
-    assert code == 0, err
-    assert 0.999 < json.loads(out)["inputs"]["grayness"] <= 1.0
-    run_main_refused([*argv, "--waist-um", "0.1382"], capsys, "--waist-um")
+    for waist in ("0.6519", "1"):
+        with pytest.warns(UserWarning, match="paraxial model marginal"):
+            code, out, err = run_main([*argv, "--waist-um", waist], capsys)
+        assert code == 0, err
+        assert json.loads(out)["inputs"]["waist_um"] == float(waist)
+    run_main_refused([*argv, "--waist-um", "0.6517"], capsys, "--waist-um")
 
 
 @pytest.mark.parametrize("flags", [
@@ -486,7 +493,11 @@ def test_rate_takes_the_smallest_waist_it_names(tmp_path, capsys):
     ["--domain", "wavelength", "--band-nm", "5e-324", "1"],
     ["--domain", "omega", "--band-nm", "300", "inf"],
     ["--domain", "wavelength", "--band-nm", "nan", "900"],
-], ids=["omega-subnormal-band", "wavelength-subnormal-band", "smallest-double", "omega-inf", "nan"])
+    ["--domain", "omega", "--band-nm", "1e-200", "2e-200"],
+    ["--domain", "wavelength", "--band-nm", "300", "1e308"],
+    ["--domain", "omega", "--band-nm", "300", "1e308"],
+], ids=["omega-subnormal-band", "wavelength-subnormal-band", "smallest-double", "omega-inf", "nan",
+        "omega-jacobian-underflow", "wavelength-jacobian-overflow", "omega-jacobian-overflow"])
 @pytest.mark.parametrize("family", ["q1d", "planck"])
 def test_spectrum_refuses_a_band_it_cannot_convert(tmp_path, capsys, flags, family):
     out = tmp_path / "out"

@@ -191,16 +191,6 @@ def test_correction_preserves_absorption_dip_ratio():
     assert c760 < 0.7  # the dip survives the normalization
 
 
-def test_correction_expected_ground_psd():
-    ref = _planck_reference()
-    corr = atmospheric_correction(ref, 5800.0)
-    expected = corr.expected_q1d_psd(np.array([500.0, 700.0]))
-    assert expected.kind == SpectrumKind.PSD_PER_WAVELENGTH
-    assert expected.values[0] == pytest.approx(
-        float(corr.interpolate(500.0)) * q1d_psd_per_wavelength(500.0, 5800.0), rel=1e-10
-    )
-
-
 def test_bundled_reference_properties():
     ref = ReferenceSolarSpectrum.load_bundled()
     assert ref.wavelengths_nm[0] <= 350.0 and ref.wavelengths_nm[-1] >= 1100.0

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_bundled_ion_is_consistent():
 
 def test_ion_spec_round_trip_and_schema(tmp_path):
     ion = load_ion()
-    d = ion.to_dict()
+    d = json.loads(resources.files("thermolight.data").joinpath("ba138p.json").read_text("utf-8"))
     assert IonSpec.from_dict(d) == ion
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(d))
@@ -177,7 +178,7 @@ def test_ground_state_occupation_deep_cooling():
     assert rep.n_exact == pytest.approx(1.0 / math.expm1(x), rel=1e-9)
     assert rep.n_wien == pytest.approx(math.exp(-x), rel=1e-9)
     assert math.log10(rep.n_exact) == pytest.approx(-45.72340797440479, abs=1e-9)
-    assert rep.difference < 1e-60  # exact and Wien forms agree deep in the tail
+    assert rep.n_exact - rep.n_wien < 1e-60  # exact and Wien forms agree deep in the tail
 
 
 def test_ground_state_occupation_warm_trap():

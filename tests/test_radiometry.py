@@ -57,6 +57,26 @@ def test_angular_frequency_round_trip():
         AngularFrequency.from_wavelength_nm(-400.0)
 
 
+# wavelengths whose omega or per-wavelength Jacobian is not a finite double, for each conversion
+UNCONVERTIBLE = {
+    "from_wavelength_nm": (AngularFrequency.from_wavelength_nm, (5e-324, 1e-300)),
+    "q1d_psd_per_wavelength": (lambda lam: q1d_psd_per_wavelength(lam, 5800.0), (5e-324, 1e-300, 1e-280, 1e300)),
+    "planck_irradiance_per_wavelength": (lambda lam: planck_irradiance_per_wavelength(lam, 5800.0),
+                                         (5e-324, 1e-300, 1e-280, 1e300)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(UNCONVERTIBLE))
+def test_an_unconvertible_scalar_wavelength_is_refused_by_name(call):
+    convert, bad = UNCONVERTIBLE[call]
+    for wavelength_nm in bad:
+        with pytest.raises(ValueError, match="wavelength_nm"):
+            convert(wavelength_nm)
+    # the Jacobian stays finite down to 3.237e-141 nm and up to 1.3407e163 nm
+    assert math.isfinite(q1d_psd_per_wavelength(3.237e-141, 5800.0))
+    assert math.isfinite(q1d_psd_per_wavelength(1.3407e163, 5800.0))
+
+
 @pytest.mark.parametrize("cls", [Temperature, AngularFrequency])
 @pytest.mark.parametrize("value", [np.float32(300.0), np.int64(300), True], ids=["float32", "int64", "bool"])
 def test_numpy_scalars_are_accepted_and_bools_rejected(cls, value):

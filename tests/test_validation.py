@@ -24,7 +24,6 @@ from thermolight import (
     calibrate_power,
     divergence_half_angle,
     excitation_rate,
-    focused_energy_density,
     gaussian_angular_radiance,
     grayness,
     load_ion,
@@ -90,8 +89,6 @@ CASES = {
         calibrate_power, spectrum=SHAPE, measured_power_w=UNSET, band_nm=(400.0, 900.0))),
     "top_hat_area.waist_m": ("waist_m", 1e-5, called(top_hat_area, waist_m=UNSET)),
     "grayness.area_m2": ("area_m2", 1e-10, called(grayness, area_m2=UNSET, omega=W)),
-    **{f"focused_energy_density.{a}": (a, 1e-10, called(focused_energy_density, **{
-        "psd_w_per_rad_s": 1e-12, "area_m2": 1e-10, a: UNSET})) for a in ("psd_w_per_rad_s", "area_m2")},
     "divergence_half_angle.waist_m": ("waist_m", 1e-5, called(divergence_half_angle, waist_m=UNSET, omega=W)),
     **{f"gaussian_angular_radiance.{a}": (a, good, called(gaussian_angular_radiance, **{
         "omega": W, "theta_rad": 0.01, "waist_m": 1e-5, "psd_w_per_rad_s": 1e-12, a: UNSET}))
