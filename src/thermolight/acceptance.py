@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, K_B
-from .cooling_sim import CycleConfig, ensemble_stats, simulate_ensemble
+from .cooling_sim import CycleConfig, ensemble_stats, simulate_ensemble, simulate_trajectory
 from .data_pipeline import (
     InstrumentResponse,
     ReferenceSolarSpectrum,
@@ -268,11 +268,18 @@ def _criterion_8_simulator() -> CriterionResult:
         gamma=11.06, eta_sp=0.74, step_duration_s=1e-3, t_max_s=3.0,
         seed=_BASE_SEED + 8, heating_rate=0.0, n_initial=20,
     )
-    stats = ensemble_stats(simulate_ensemble(cfg, 1000))
+    members = simulate_ensemble(cfg, 1000)
+    stats = ensemble_stats(members)
     predicted = -renewal_slope(cfg.gamma, cfg.eta_sp, cfg.step_duration_s)
     z_slope = abs(stats.slope_per_s - predicted) / stats.slope_stderr
-    ok = z_slope <= 3.0
+    # a member re-runs alone, bit for bit, from the config recorded on it
+    last, rerun = members[-1], simulate_trajectory(members[-1].config)
+    rerun_same = (rerun.times_s.tobytes() == last.times_s.tobytes()
+                  and rerun.phonon_numbers.tobytes() == last.phonon_numbers.tobytes()
+                  and rerun.states == last.states and rerun.counters == last.counters)
+    ok = z_slope <= 3.0 and rerun_same
     details.append(f"slope {stats.slope_per_s:.3f}/s vs {predicted:.3f}/s (z={z_slope:.2f})")
+    details.append(f"member {len(members) - 1} re-run {'bit-identical' if rerun_same else 'differs'}")
     # heated steady states against the Markov-chain oracle
     triples = [
         (11.06, 0.74, 0.010, 2.0),

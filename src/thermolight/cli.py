@@ -69,6 +69,12 @@ from .spectra import (
 from .svgplot import line_plot
 
 DEFAULT_SEED = 20260825
+# simulate's size ceilings, checked before any simulation: each member keeps its record (a few kB),
+# and the ensemble statistics sample every member at every grid time (8 bytes each, about three
+# copies at a time), so the product bounds their memory near 2.4 GB
+MAX_TRAJECTORIES = 100_000
+MAX_GRID_POINTS = 100_000
+MAX_GRID_SAMPLES = 100_000_000
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -135,8 +141,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Poisson heating rate in phonon/s (default %(default)s)")
     p.add_argument("--n-initial", type=int, default=0, help="starting phonon number (default %(default)s)")
     p.add_argument("--t-max-s", type=float, help="simulated duration in s")
-    p.add_argument("--trajectories", type=int, default=500, help="ensemble size (default %(default)s)")
-    p.add_argument("--grid-points", type=int, default=201, help="resampling grid size (default %(default)s)")
+    p.add_argument("--trajectories", type=int, default=500,
+                   help=f"ensemble size, 2 to {MAX_TRAJECTORIES} (default %(default)s)")
+    p.add_argument("--grid-points", type=int, default=201,
+                   help=f"resampling grid size, 3 to {MAX_GRID_POINTS}, with --trajectories times --grid-points "
+                        f"at most {MAX_GRID_SAMPLES:.0e} (default %(default)s)")
     p.add_argument("--write-trajectories", type=int, default=3,
                    help="how many member CSVs to write (default %(default)s)")
     p.add_argument("--svg", action="store_true", help="also write an SVG of the mean curve")
@@ -375,10 +384,14 @@ def cmd_simulate(args) -> dict:
         heating_rate=args.heating_rate,
         n_initial=args.n_initial,
     )
-    if args.trajectories < 2:
-        raise ValueError("need at least two trajectories for ensemble statistics")
-    if args.grid_points < 3:
-        raise ValueError(f"need at least three grid points, got {args.grid_points}")
+    # ensemble statistics need two members and three grid times
+    if not 2 <= args.trajectories <= MAX_TRAJECTORIES:
+        raise ValueError(f"--trajectories must be in [2, {MAX_TRAJECTORIES}], got {args.trajectories}")
+    if not 3 <= args.grid_points <= MAX_GRID_POINTS:
+        raise ValueError(f"--grid-points must be in [3, {MAX_GRID_POINTS}], got {args.grid_points}")
+    if args.trajectories * args.grid_points > MAX_GRID_SAMPLES:
+        raise ValueError(f"--trajectories times --grid-points must be at most {MAX_GRID_SAMPLES:.0e}, got "
+                         f"{args.trajectories} x {args.grid_points}")
     trajectories = simulate_ensemble(cfg, args.trajectories)
     stats = ensemble_stats(trajectories, grid_points=args.grid_points)
     ode = rate_equation_trajectory(cfg)

@@ -7,10 +7,12 @@ instantaneous decay that returns to S with probability eta_SP or back to D
 otherwise. Poisson heating at rate h adds phonons at any time.
 
 Each trajectory draws from one stream of uniforms u on [0, 1): numpy's
-PCG64 generator seeded from the config, read BLOCK values at a time. Every
-draw takes the next u of the stream. A wait at rate r is the inversion
--log(1 - u)/r (Devroye 1986, sec. II.2), a Bernoulli of probability p
-succeeds when u < p. The block size changes no draw, and a trajectory is
+PCG64 generator, in the state np.random.default_rng(seed) starts from for
+the config's seed (an ensemble computes all its members' states in one
+pass), read BLOCK values at a time. Every draw takes the next u of the
+stream. A wait at rate r is the inversion -log(1 - u)/r (Devroye 1986,
+sec. II.2), a Bernoulli of probability p succeeds when u < p. The block
+size changes no draw, and a trajectory is
 bit-reproducible from (config, seed). The uniforms feed, in this order
 within a cycle (a transfer probability p below 1 spends no extra draw, so
 the stream order is the same for every p):
@@ -29,6 +31,7 @@ the stream order is the same for every p):
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -117,6 +120,189 @@ def _uniforms(rng: np.random.Generator):
     return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
 
 
+# numpy's SeedSequence hash constants and PCG's 128-bit LCG multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_pairs(init: int, mult: int, count: int) -> list:
+    """SeedSequence's hash constants in the order it uses them, as (xor word, multiplier) pairs.
+
+    The constant evolves by multiplication alone, so the pairs are the same for every seed.
+    """
+    pairs, h = [], init
+    for _ in range(count):
+        x, h = h, h * mult & 0xFFFFFFFF
+        pairs.append((np.uint32(x), np.uint32(h)))
+    return pairs
+
+
+_POOL_HASHES = _hash_pairs(_INIT_A, _MULT_A, 16)  # 4 fill the pool, 12 mix it
+_STATE_HASHES = _hash_pairs(_INIT_B, _MULT_B, 8)  # one per 32-bit word of four uint64 state words
+
+
+def _hashmix(words: np.ndarray, pair) -> np.ndarray:
+    x, h = pair
+    words = words ^ x
+    words *= h
+    words ^= words >> np.uint32(16)
+    return words
+
+
+def _pcg64_states(seeds: np.ndarray) -> list:
+    """PCG64's (state, inc) for each uint64 seed, bit for bit as np.random.default_rng(seed) sets them.
+
+    default_rng(seed) hashes the seed's low and high 32-bit words (the high one is 0 below 2**32,
+    like the padding SeedSequence uses then) into a pool of four words, mixes the pool, draws four
+    uint64 words from it and hands them to PCG's srandom as (initstate, initseq) (O'Neill 2014;
+    numpy keeps these streams stable, NEP 19). The hash constants do not depend on the seed, so all
+    seeds go through one uint32 pass; only srandom's 128-bit arithmetic runs seed by seed.
+    """
+    hashes = iter(_POOL_HASHES)
+    zero = np.zeros(seeds.size, dtype=np.uint32)
+    words = ((seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32))
+    pool = [_hashmix(w, next(hashes)) for w in (*words, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], next(hashes))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    out = [_hashmix(pool[k % 4], pair).astype(np.uint64) for k, pair in enumerate(_STATE_HASHES)]
+    # the uint64 words are the uint32 ones paired little end first
+    quads = [(out[k] | out[k + 1] << np.uint64(32)).tolist() for k in range(0, 8, 2)]
+    states = []
+    for s0, s1, s2, s3 in zip(*quads):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
+    """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
+
+    Each member's generator state comes from _pcg64_states and is set on one reused Generator.
+    All members' rows go into one typed buffer per column; each member holds read-only views
+    of its own rows.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    log1p = math.log1p
+    h, gamma, eta_sp, p = cfg.heating_rate, cfg.gamma, cfg.eta_sp, cfg.transfer_prob
+    tau, t_max = cfg.step_duration_s, cfg.t_max_s
+    times, numbers, tags = array("d"), array("q"), []
+    put_t, put_n, put_tag = times.append, numbers.append, tags.append
+    cls, fields = type(cfg), vars(cfg)
+    runs = []
+
+    for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        uniform = _uniforms(rng).__next__
+        t = 0.0
+        n = cfg.n_initial
+        put_t(t)
+        put_n(n)
+        put_tag("S")
+        empty_intervals = transfers = scatters = 0
+        stop_reason = None
+
+        while stop_reason is None:
+            wait = None  # heating wait already drawn for the coming interval
+            if h == 0.0:
+                if n == 0 or p == 0.0:
+                    stop_reason = "quiescent"  # no heating and the sideband has no effect
+                    break
+            elif n == 0:
+                dt = -log1p(-uniform()) / h
+                if t + dt >= t_max:
+                    empty_intervals += int((t_max - t) // tau)
+                    stop_reason = "t_max"
+                    break
+                skipped, wait = divmod(dt, tau)
+                t += skipped * tau
+                empty_intervals += int(skipped)
+            # step I: deterministic interval with Poisson heating
+            t_end = t + tau
+            if h > 0.0:
+                horizon = t_end if t_end < t_max else t_max
+                while True:
+                    dt = -log1p(-uniform()) / h if wait is None else wait
+                    wait = None
+                    if t + dt >= horizon:
+                        break
+                    t += dt
+                    n += 1
+                    put_t(t)
+                    put_n(n)
+                    put_tag("S")
+            if t_end > t_max:
+                stop_reason = "t_max"
+                break
+            t = t_end
+            if n == 0 or uniform() >= p:
+                empty_intervals += 1
+                continue  # no transfer this cycle; remain in S
+            n -= 1
+            transfers += 1
+            put_t(t)
+            put_n(n)
+            put_tag("D")
+            # step II: wait in D for thermal excitation, racing against heating
+            while True:
+                dt = -log1p(-uniform()) / gamma
+                dt_heat = -log1p(-uniform()) / h if h > 0.0 else math.inf
+                heated = dt_heat < dt
+                if heated:
+                    dt = dt_heat
+                if t + dt >= t_max:
+                    stop_reason = "t_max"
+                    break
+                t += dt
+                if heated:
+                    n += 1
+                    put_t(t)
+                    put_n(n)
+                    put_tag("D")
+                    continue
+                scatters += 1
+                put_t(t)
+                put_n(n)
+                put_tag("P")
+                if uniform() < eta_sp:
+                    break  # back in S; cycle complete
+
+        counters = {
+            "cycles": empty_intervals + transfers,
+            "empty_intervals": empty_intervals,
+            "transfers": transfers,
+            "scatters": scatters,
+            "heating_events": n - cfg.n_initial + transfers,  # n moves only by heating (+1) and transfer (-1)
+            "stop_reason": stop_reason,
+        }
+        # each member copies cfg's validated fields; its seed, a uint64 word, is in range too
+        member = object.__new__(cls)
+        member.__dict__.update(fields, seed=seed)
+        runs.append((member, counters, len(tags)))
+
+    all_times = np.frombuffer(times, dtype=np.float64)
+    all_numbers = np.frombuffer(numbers, dtype=np.int64)
+    all_times.setflags(write=False)
+    all_numbers.setflags(write=False)
+    trajectories = []
+    start = 0
+    for member, counters, end in runs:
+        # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
+        traj = object.__new__(CoolingTrajectory)
+        traj.__dict__.update(times_s=all_times[start:end], phonon_numbers=all_numbers[start:end],
+                             states=tuple(tags[start:end]), config=member, counters=counters)
+        trajectories.append(traj)
+        start = end
+    return trajectories
+
+
 def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     """Run one stochastic trajectory of the two-step cycle.
 
@@ -134,107 +320,19 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     & Bruck 2000). By memorylessness this leaves the distribution of the
     trajectory unchanged.
     """
-    uniform = _uniforms(np.random.default_rng(cfg.seed)).__next__
-    log1p = math.log1p
-    h, gamma, eta_sp, p = cfg.heating_rate, cfg.gamma, cfg.eta_sp, cfg.transfer_prob
-    tau, t_max = cfg.step_duration_s, cfg.t_max_s
-    t = 0.0
-    n = cfg.n_initial
-    rows = [(t, n, "S")]
-    record = rows.append
-    empty_intervals = transfers = scatters = 0
-    stop_reason = None
-
-    while stop_reason is None:
-        wait = None  # heating wait already drawn for the coming interval
-        if h == 0.0:
-            if n == 0 or p == 0.0:
-                stop_reason = "quiescent"  # no heating and the sideband has no effect
-                break
-        elif n == 0:
-            dt = -log1p(-uniform()) / h
-            if t + dt >= t_max:
-                empty_intervals += int((t_max - t) // tau)
-                stop_reason = "t_max"
-                break
-            skipped, wait = divmod(dt, tau)
-            t += skipped * tau
-            empty_intervals += int(skipped)
-        # step I: deterministic interval with Poisson heating
-        t_end = t + tau
-        if h > 0.0:
-            horizon = t_end if t_end < t_max else t_max
-            while True:
-                dt = -log1p(-uniform()) / h if wait is None else wait
-                wait = None
-                if t + dt >= horizon:
-                    break
-                t += dt
-                n += 1
-                record((t, n, "S"))
-        if t_end > t_max:
-            stop_reason = "t_max"
-            break
-        t = t_end
-        if n == 0 or uniform() >= p:
-            empty_intervals += 1
-            continue  # no transfer this cycle; remain in S
-        n -= 1
-        transfers += 1
-        record((t, n, "D"))
-        # step II: wait in D for thermal excitation, racing against heating
-        while True:
-            dt = -log1p(-uniform()) / gamma
-            dt_heat = -log1p(-uniform()) / h if h > 0.0 else math.inf
-            heated = dt_heat < dt
-            if heated:
-                dt = dt_heat
-            if t + dt >= t_max:
-                stop_reason = "t_max"
-                break
-            t += dt
-            if heated:
-                n += 1
-                record((t, n, "D"))
-                continue
-            scatters += 1
-            record((t, n, "P"))
-            if uniform() < eta_sp:
-                break  # back in S; cycle complete
-
-    times, numbers, states = zip(*rows)
-    counters = {
-        "cycles": empty_intervals + transfers,
-        "empty_intervals": empty_intervals,
-        "transfers": transfers,
-        "scatters": scatters,
-        "heating_events": n - cfg.n_initial + transfers,  # n moves only by heating (+1) and transfer (-1)
-        "stop_reason": stop_reason,
-    }
-    return CoolingTrajectory(
-        times_s=np.array(times),
-        phonon_numbers=np.array(numbers, dtype=np.int64),
-        states=states,
-        config=cfg,
-        counters=counters,
-    )
+    return _simulate(cfg, np.array([cfg.seed], dtype=np.uint64))[0]
 
 
 def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
     """Independent trajectories with per-member seeds derived from cfg.seed.
 
     Seeds come from numpy's SeedSequence state expansion; each member
-    re-runs bit for bit from the config recorded on it.
+    re-runs bit for bit from the config recorded on it, through
+    simulate_trajectory. The members' arrays are read-only views of one
+    buffer per column.
     """
     n = int_value("n_trajectories", n_trajectories, 1)
-    cls, fields = type(cfg), vars(cfg)
-    trajectories = []
-    # each member copies cfg's validated fields; its seed, a uint64 state word, is in range too
-    for seed in np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64).tolist():
-        member = object.__new__(cls)
-        member.__dict__.update(fields, seed=seed)
-        trajectories.append(simulate_trajectory(member))
-    return trajectories
+    return _simulate(cfg, np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64))
 
 
 def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:

@@ -9,6 +9,7 @@ angle above 0.1 rad warns, one above 0.3 rad is refused.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -114,6 +115,18 @@ def divergence_half_angle(waist_m: float, omega) -> float:
     return 2.0 * C / (omega_value(omega) * real_value("waist_m", waist_m))
 
 
+def _caller_stacklevel() -> int:
+    """warnings.warn's stacklevel, for the function calling this one, of the first frame outside this module.
+
+    The dataclass-generated __init__ runs with this module's globals, so it and a classmethod
+    constructor are skipped and the warning points at the code that asked for the focus.
+    """
+    level, frame = 1, sys._getframe(1)
+    while frame.f_back is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 @dataclass(frozen=True)
 class FocusGeometry:
     """Gaussian focus described by waist and far-field divergence half angle.
@@ -132,7 +145,7 @@ class FocusGeometry:
         if th > 0.1:
             warnings.warn(
                 f"half angle {th:.3g} rad exceeds 0.1: paraxial model marginal",
-                stacklevel=2,
+                stacklevel=_caller_stacklevel(),
             )
 
     @classmethod

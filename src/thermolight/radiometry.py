@@ -30,9 +30,11 @@ _EXP_CUT = 700.0
 _DBL_MAX = sys.float_info.max
 _SHORTEST_NM = TWO_PI_C / _DBL_MAX / NM
 _JACOBIAN_NM = (math.sqrt(TWO_PI_C / _DBL_MAX) / NM, math.sqrt(_DBL_MAX) / NM)
-# The closed band, about [3.34e-85, 1.34e163] nm, in which omega^3 of the Planck prefactor is finite
-# as well: there every density's frequency factors and Jacobian are finite doubles.
-DENSITY_BAND_NM = (TWO_PI_C / _DBL_MAX ** (1 / 3) / NM, _JACOBIAN_NM[1])
+# omega^3 of the Planck prefactor is a finite double up to _CUBE_MAX rad/s. DENSITY_BAND_NM is the
+# closed band, about [3.34e-85, 1.34e163] nm, in which the Jacobian is finite and omega stays within
+# that: there every density's frequency factors and Jacobian are finite doubles.
+_CUBE_MAX = _DBL_MAX ** (1 / 3)
+DENSITY_BAND_NM = (TWO_PI_C / _CUBE_MAX / NM, _JACOBIAN_NM[1])
 
 
 # Concrete types, not numbers.Real/Integral: an ABC isinstance costs about
@@ -142,12 +144,15 @@ def domega_dlambda(wavelength_nm):
     return TWO_PI_C / (wavelength_nm * NM) ** 2 * NM
 
 
-def _wavelength_and_omega(wavelength_nm):
-    """Validated wavelength(s) in nm and the matching omega in rad/s."""
+def _wavelength_and_omega(wavelength_nm, band: tuple):
+    """Wavelength(s) in nm, each refused outside the closed band, and the matching omega in rad/s."""
+    lo, hi = band
     if np.ndim(wavelength_nm):
-        lam = _positive_array(wavelength_nm, "wavelengths")
+        lam = np.asarray(wavelength_nm, dtype=float)
+        if not np.all((lam >= lo) & (lam <= hi)):  # NaN fails both
+            raise ValueError(f"wavelengths must lie in [{lo:g}, {hi:g}] nm")
         return lam, TWO_PI_C / (lam * NM)
-    lam = real_value("wavelength_nm", wavelength_nm, *_JACOBIAN_NM, open_lo=False)
+    lam = real_value("wavelength_nm", wavelength_nm, lo, hi, open_lo=False)
     return lam, AngularFrequency.from_wavelength_nm(lam).rad_per_s
 
 
@@ -167,13 +172,23 @@ def mean_occupation(omega, temperature: "Temperature | float"):
     return _bose(HBAR * omega_value(omega) * as_temperature(temperature).beta)
 
 
+def _planck_omega(omega):
+    """Validated rad/s, as omega_value, refused where omega^3 of the Planck densities overflows."""
+    w = omega_value(omega)
+    if np.ndim(w):
+        if np.any(w > _CUBE_MAX):
+            raise ValueError(f"angular frequencies must be at most {_CUBE_MAX:g} rad/s, where omega^3 is finite")
+        return w
+    return real_value("omega", w, hi=_CUBE_MAX)
+
+
 def _planck_on_grid(omega, scale: float, jac):
     """scale * B_omega * jac at these frequencies as an unvalidated kernel of beta = 1/(k_B T).
 
     omega is validated and the grid factors computed here, once. scale is 1.0 for the radiance B and
     pi for the exitance; jac is 1.0 per rad/s and |d omega/d lambda| per nm.
     """
-    w = omega_value(omega)
+    w = _planck_omega(omega)
     hw, prefactor = HBAR * w, HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2)
     return lambda beta: scale * (prefactor * _bose(hw * beta)) * jac
 
@@ -196,7 +211,7 @@ def planck_energy_density(omega, temperature: "Temperature | float"):
 
     Equals (4 pi / c) * planck_radiance.
     """
-    w = omega_value(omega)
+    w = _planck_omega(omega)
     return HBAR * w ** 3 / (math.pi ** 2 * C ** 3) * mean_occupation(w, temperature)
 
 
@@ -234,13 +249,13 @@ def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) 
 
 def q1d_psd_per_wavelength_on_grid(wavelength_nm, polarizations: int = 2):
     """q1d_psd_per_wavelength at these wavelengths as a function of beta = 1/(k_B T), validated once."""
-    lam, w = _wavelength_and_omega(wavelength_nm)
+    lam, w = _wavelength_and_omega(wavelength_nm, _JACOBIAN_NM)
     return _q1d_on_grid(w, polarizations, domega_dlambda(lam))
 
 
 def planck_irradiance_per_wavelength_on_grid(wavelength_nm):
     """planck_irradiance_per_wavelength at these wavelengths as a function of beta, validated once."""
-    lam, w = _wavelength_and_omega(wavelength_nm)
+    lam, w = _wavelength_and_omega(wavelength_nm, DENSITY_BAND_NM)
     return _planck_on_grid(w, math.pi, domega_dlambda(lam))
 
 

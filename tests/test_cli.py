@@ -257,7 +257,27 @@ def test_simulate_validates_before_simulating(tmp_path, monkeypatch, capsys):
         ])
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert len(lines) == 1 and lines[0].startswith("error:") and bad[0] in lines[0]
+
+
+@pytest.mark.parametrize("sizes, flag", [
+    (["--trajectories", "100000000000"], "--trajectories"),
+    (["--trajectories", "100001"], "--trajectories"),
+    (["--grid-points", "100000000000"], "--grid-points"),
+    (["--grid-points", "100001"], "--grid-points"),
+    (["--trajectories", "100000", "--grid-points", "1001"], "--grid-points"),
+], ids=["1e11-trajectories", "trajectories-ceiling", "1e11-grid-points", "grid-points-ceiling", "grid-samples"])
+def test_simulate_refuses_sizes_above_the_ceiling(tmp_path, monkeypatch, capsys, sizes, flag):
+    import thermolight.cli as cli
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble was simulated before the sizes were checked")
+
+    monkeypatch.setattr(cli, "simulate_ensemble", no_ensemble)
+    out = tmp_path / "out"
+    run_main_refused(["simulate", "--gamma", "11.06", "--eta-sp", "0.74", "--step-duration-s", "1e-3",
+                      "--t-max-s", "0.1", "--out", str(out), *sizes], capsys, flag)
+    assert not out.exists()
 
 
 def test_import_loads_no_scipy():
@@ -476,13 +496,16 @@ def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
 
 
 def test_rate_takes_the_smallest_waist_it_names(tmp_path, capsys):
+    import thermolight.cli as cli
+
     # the half angle lambda_2 / (pi w0) reaches the paraxial model's 0.3 rad at w0 = 0.65184 um; down to
     # there a waist is taken with a warning, and above 1.9555 um (0.1 rad) without one
     argv = ["rate", "--ion", "ba138p", "--eta", "0.5", "--temperature-k", "5800", "--json", "--out", str(tmp_path)]
     for waist in ("0.6519", "1"):
-        with pytest.warns(UserWarning, match="paraxial model marginal"):
+        with pytest.warns(UserWarning, match="paraxial model marginal") as record:
             code, out, err = run_main([*argv, "--waist-um", waist], capsys)
         assert code == 0, err
+        assert [warning.filename for warning in record] == [cli.__file__]  # where the CLI asks for the focus
         assert json.loads(out)["inputs"]["waist_um"] == float(waist)
     run_main_refused([*argv, "--waist-um", "0.6517"], capsys, "--waist-um")
 

@@ -392,6 +392,36 @@ def test_trajectory_does_not_depend_on_the_uniform_block(monkeypatch, cfg):
         assert first.counters == other.counters
 
 
+# the ends of each 32-bit word of a uint64 seed, and of SeedSequence's one-word and two-word entropy
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+
+def test_member_seeding_equals_default_rng(monkeypatch):
+    seeds = np.random.SeedSequence(20261019).generate_state(1000, dtype=np.uint64).tolist() + EDGE_SEEDS
+    states = cooling_sim._pcg64_states(np.array(seeds, dtype=np.uint64))
+    assert len(states) == len(seeds)
+    for seed, (state, inc) in zip(seeds, states):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+    # each member's stream starts where its own default_rng(seed) would, buffered bits included
+    started = []
+    uniforms = cooling_sim._uniforms
+    monkeypatch.setattr(cooling_sim, "_uniforms", lambda rng: started.append(rng.bit_generator.state) or uniforms(rng))
+    members = cooling_sim._simulate(HEATED, np.array(EDGE_SEEDS, dtype=np.uint64))
+    assert started == [np.random.default_rng(seed).bit_generator.state for seed in EDGE_SEEDS]
+    assert [traj.config.seed for traj in members] == EDGE_SEEDS
+
+
+def test_members_hold_read_only_views_of_one_buffer():
+    members = simulate_ensemble(replace(HEATED, t_max_s=0.5), 6) + [simulate_trajectory(HEATED)]
+    for traj in members:
+        for values, dtype in ((traj.times_s, np.float64), (traj.phonon_numbers, np.int64)):
+            assert values.dtype == dtype and not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1
+    assert len({id(traj.times_s.base) for traj in members[:-1]}) == 1
+    assert sum(traj.times_s.size for traj in members[:-1]) == members[0].times_s.base.size
+
+
 def reference_stats(trajectories, grid_points=201):
     """Grid samples, quartile averages and slope computed member by member, independently of the one-pass code."""
     t_max = trajectories[0].config.t_max_s

@@ -110,6 +110,14 @@ def test_divergence_and_focus_geometry():
         FocusGeometry(1e-6, 0.35)  # beyond the paraxial model
 
 
+def test_paraxial_warning_points_at_the_caller():
+    w = AngularFrequency.from_wavelength_nm(1762.0)  # 2.5 um waist: half angle 0.22 rad
+    for make in (lambda: FocusGeometry(1e-6, 0.2), lambda: FocusGeometry.from_waist(2.5e-6, w)):
+        with pytest.warns(UserWarning, match="paraxial model marginal") as record:
+            make()
+        assert [warning.filename for warning in record] == [__file__]
+
+
 def test_on_axis_radiance_is_four_blackbody_radiances():
     rng = np.random.default_rng(808)
     for _ in range(50):

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from thermolight import (
     q1d_total_power,
     wien_peak,
 )
-from thermolight.radiometry import _peak_root
+from thermolight.radiometry import DENSITY_BAND_NM, _peak_root
 
 # CODATA 2018 exact defining constants, typed out here so the checks do
 # not share a constants module with the implementation.
@@ -75,6 +77,48 @@ def test_an_unconvertible_scalar_wavelength_is_refused_by_name(call):
     # the Jacobian stays finite down to 3.237e-141 nm and up to 1.3407e163 nm
     assert math.isfinite(q1d_psd_per_wavelength(3.237e-141, 5800.0))
     assert math.isfinite(q1d_psd_per_wavelength(1.3407e163, 5800.0))
+
+
+# above this many rad/s (below 3.34e-85 nm) omega^3 of the Planck prefactor is not a finite double
+CUBE_MAX = sys.float_info.max ** (1 / 3)
+
+# (density, an argument where omega^3 overflows, the name its ValueError gives, a valid argument)
+CUBE_OVERFLOWS = {
+    "planck_irradiance_per_wavelength": (planck_irradiance_per_wavelength, 1e-100, "wavelength_nm", 500.0),
+    "planck_irradiance": (planck_irradiance, 1e200, "omega", 3e15),
+    "planck_radiance": (planck_radiance, 1e200, "omega", 3e15),
+    "planck_energy_density": (planck_energy_density, 1e200, "omega", 3e15),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CUBE_OVERFLOWS))
+def test_a_planck_density_refuses_by_name_where_omega_cubed_overflows(name):
+    density, bad, named, good = CUBE_OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            density(bad, 5800.0)
+        with pytest.raises(ValueError):
+            density(np.array([good, bad]), 5800.0)
+        edge = DENSITY_BAND_NM[0] if named == "wavelength_nm" else CUBE_MAX
+        assert density(edge, 5800.0) == 0.0  # the band's edge still evaluates, deep in the Wien tail
+        assert density(np.array([edge]), 5800.0).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("density, band", [
+    (q1d_psd_per_wavelength, (3.237e-141, 1.3407e163)),  # the Jacobian's range
+    (planck_irradiance_per_wavelength, DENSITY_BAND_NM),  # where omega^3 is finite as well
+], ids=["q1d", "planck"])
+def test_an_array_of_wavelengths_is_refused_where_a_scalar_is(density, band):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (0.0, -1.0, math.nan, math.inf, 1e-200, band[0] / 2.0, band[1] * 2.0, 1e300):
+            with pytest.raises(ValueError, match="wavelength_nm"):
+                density(bad, 5800.0)
+            with pytest.raises(ValueError, match="wavelengths must lie in"):
+                density(np.array([bad, 500.0]), 5800.0)
+        inside = [band[0], 500.0, band[1]]
+        assert density(np.array(inside), 5800.0).tolist() == [density(x, 5800.0) for x in inside]
 
 
 @pytest.mark.parametrize("cls", [Temperature, AngularFrequency])
