@@ -27,6 +27,7 @@ from .cooling_sim import (
     cycle_rate,
     ensemble_counters,
     ensemble_stats,
+    rate_equation_steps,
     rate_equation_trajectory,
     simulate_ensemble,
 )
@@ -75,6 +76,14 @@ DEFAULT_SEED = 20260825
 MAX_TRAJECTORIES = 100_000
 MAX_GRID_POINTS = 100_000
 MAX_GRID_SAMPLES = 100_000_000
+# and a ceiling on the rows an ensemble records, from the upper estimate in _recorded_rows: a
+# recorded row holds about 60 bytes at the statistics' peak and takes about a microsecond to
+# simulate, so the ceiling bounds a run near 0.6 GB and tens of seconds
+MAX_RECORDED_ROWS = 10_000_000
+ROWS_ESTIMATE = ("1 + h*t_max heating events + T*(1 + 1/eta_SP) rows per trajectory, "
+                 "T = min(n0 + h*t_max, t_max/tau_I) transfers each with about 1/eta_SP scatters")
+# the rate equation keeps every RK4 step as a float and a CSV row, about 200 bytes each
+MAX_RATE_EQUATION_STEPS = 1_000_000
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -132,7 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="laser effective temperature in K, or 'inf' (default %(default)s)")
     p.add_argument("--motion-hz", type=float, help="trap frequency in Hz")
 
-    p = sub.add_parser("simulate", parents=[common], help="stochastic two-step cooling-cycle ensemble")
+    p = sub.add_parser("simulate", parents=[common], help="stochastic two-step cooling-cycle ensemble",
+                       description=f"Stochastic two-step cooling-cycle ensemble. An ensemble is refused before "
+                                   f"it is simulated when its estimated record, {ROWS_ESTIMATE}, times "
+                                   f"--trajectories, exceeds {MAX_RECORDED_ROWS:.0e} rows, or when its rate "
+                                   f"equation needs more than {MAX_RATE_EQUATION_STEPS:.0e} RK4 steps "
+                                   f"(max(200, 100*R*t_max), R the cycle rate).")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--gamma", type=float, help="D->P excitation rate in 1/s")
     p.add_argument("--eta-sp", type=float, help="P->S branching fraction")
@@ -373,6 +387,21 @@ def cmd_virtual_temp(args) -> dict:
     return out
 
 
+def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
+    """Upper estimate of the rows an ensemble records (see ROWS_ESTIMATE), and the flag of its largest term."""
+    heating = cfg.heating_rate * cfg.t_max_s
+    intervals = cfg.t_max_s / cfg.step_duration_s
+    n0 = cfg.n_initial
+    if n0 + heating >= intervals:
+        transfers, flag = intervals, "--step-duration-s"
+    else:
+        transfers, flag = n0 + heating, "--n-initial" if n0 > heating else "--heating-rate"
+    transfer_rows = transfers * (1.0 + 1.0 / cfg.eta_sp)
+    if heating >= transfer_rows:
+        flag = "--heating-rate"
+    return trajectories * (1.0 + heating + transfer_rows), flag
+
+
 def cmd_simulate(args) -> dict:
     _require(args, "gamma", "eta_sp", "step_duration_s", "t_max_s")
     cfg = CycleConfig(
@@ -392,6 +421,15 @@ def cmd_simulate(args) -> dict:
     if args.trajectories * args.grid_points > MAX_GRID_SAMPLES:
         raise ValueError(f"--trajectories times --grid-points must be at most {MAX_GRID_SAMPLES:.0e}, got "
                          f"{args.trajectories} x {args.grid_points}")
+    rows, flag = _recorded_rows(cfg, args.trajectories)
+    if rows > MAX_RECORDED_ROWS:
+        raise ValueError(f"{flag} gives about {rows:.3g} recorded rows over --t-max-s {cfg.t_max_s:g} and "
+                         f"--trajectories {args.trajectories}, above the ceiling of {MAX_RECORDED_ROWS:.0e} "
+                         f"(the estimate is in simulate --help)")
+    steps = rate_equation_steps(cfg)
+    if steps > MAX_RATE_EQUATION_STEPS:
+        raise ValueError(f"--t-max-s {cfg.t_max_s:g} needs about {steps:.3g} rate-equation steps at the cycle "
+                         f"rate {cycle_rate(cfg):.3g}/s, above the ceiling of {MAX_RATE_EQUATION_STEPS:.0e}")
     trajectories = simulate_ensemble(cfg, args.trajectories)
     stats = ensemble_stats(trajectories, grid_points=args.grid_points)
     ode = rate_equation_trajectory(cfg)

@@ -33,8 +33,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -62,7 +63,8 @@ class CycleConfig:
         object.__setattr__(self, "step_duration_s", real_value("step_duration_s", self.step_duration_s))
         object.__setattr__(self, "t_max_s", real_value("t_max_s", self.t_max_s))
         object.__setattr__(self, "heating_rate", real_value("heating_rate", self.heating_rate, open_lo=False))
-        object.__setattr__(self, "n_initial", int_value("n_initial", self.n_initial))
+        # the record holds n as int64; the margin below 2**63 leaves room for heating
+        object.__setattr__(self, "n_initial", int_value("n_initial", self.n_initial, 0, 2 ** 62))
         object.__setattr__(self, "transfer_prob", real_value("transfer_prob", self.transfer_prob, 0, 1, open_lo=False))
         object.__setattr__(self, "seed", int_value("seed", self.seed, 0, 2 ** 64))
 
@@ -99,7 +101,11 @@ class CoolingTrajectory:
         object.__setattr__(self, "phonon_numbers", n)
 
     def time_average(self, t0: float, t1: float) -> float:
-        """Time average of the piecewise-constant n over [t0, t1]."""
+        """Time average of the piecewise-constant n over [t0, t1].
+
+        Bit for bit the member's entry of one _window_means pass over the whole ensemble, the pass
+        ensemble_stats makes for its steady state.
+        """
         if not (0.0 <= t0 < t1 <= self.config.t_max_s + 1e-12):
             raise ValueError(f"window [{t0}, {t1}] outside [0, {self.config.t_max_s}]")
         return float(_window_means(self.times_s, self.phonon_numbers, [self.times_s.size], t0, t1)[0])
@@ -189,8 +195,9 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    log1p = math.log1p
+    log1p, inf = math.log1p, math.inf
     h, gamma, eta_sp, p = cfg.heating_rate, cfg.gamma, cfg.eta_sp, cfg.transfer_prob
+    heating = h > 0.0
     tau, t_max = cfg.step_duration_s, cfg.t_max_s
     times, numbers, tags = array("d"), array("q"), []
     put_t, put_n, put_tag = times.append, numbers.append, tags.append
@@ -211,7 +218,7 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
 
         while stop_reason is None:
             wait = None  # heating wait already drawn for the coming interval
-            if h == 0.0:
+            if not heating:
                 if n == 0 or p == 0.0:
                     stop_reason = "quiescent"  # no heating and the sideband has no effect
                     break
@@ -226,7 +233,7 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
                 empty_intervals += int(skipped)
             # step I: deterministic interval with Poisson heating
             t_end = t + tau
-            if h > 0.0:
+            if heating:
                 horizon = t_end if t_end < t_max else t_max
                 while True:
                     dt = -log1p(-uniform()) / h if wait is None else wait
@@ -253,7 +260,7 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
             # step II: wait in D for thermal excitation, racing against heating
             while True:
                 dt = -log1p(-uniform()) / gamma
-                dt_heat = -log1p(-uniform()) / h if h > 0.0 else math.inf
+                dt_heat = -log1p(-uniform()) / h if heating else inf
                 heated = dt_heat < dt
                 if heated:
                     dt = dt_heat
@@ -341,16 +348,21 @@ def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
     times and numbers are the members' records laid end to end, sizes their
     lengths. Every row holds its n until the member's next row, the last
     one to the end; its duration clipped to the window weights that n.
+    A single member skips the owner scaffolding and sums its weights in
+    the same row order, so its mean is bit for bit its ensemble entry.
     """
-    ends = np.cumsum(sizes)
-    held = np.append(times[1:], math.inf)
-    held[ends - 1] = math.inf
+    single = len(sizes) == 1
+    held = np.empty_like(times)
+    held[:-1] = times[1:]
+    held[-1 if single else np.cumsum(sizes) - 1] = math.inf
     np.minimum(held, t1, out=held)
     held -= np.maximum(times, t0)
     np.maximum(held, 0.0, out=held)
     held *= numbers
-    owner = np.repeat(np.arange(ends.size), sizes)
-    return np.bincount(owner, weights=held, minlength=ends.size) / (t1 - t0)
+    if single:  # accumulate adds from the first row on, as bincount does; held.sum() is pairwise
+        return np.add.accumulate(held)[-1:] / (t1 - t0)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(owner, weights=held, minlength=len(sizes)) / (t1 - t0)
 
 
 def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
@@ -377,6 +389,10 @@ def ensemble_counters(trajectories: list) -> dict:
     totals = {key: sum(tr.counters[key] for tr in trajectories) for key in counted}
     totals["stop_reasons"] = dict(Counter(tr.counters["stop_reason"] for tr in trajectories))
     return totals
+
+
+# every CycleConfig field but the seed, as one tuple
+_SHARED_FIELDS = attrgetter(*(f.name for f in fields(CycleConfig) if f.name != "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,8 +445,8 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     grid_points = int_value("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need at least three grid points, got {grid_points}")
-    ref = dict(vars(trajectories[0].config), seed=None)  # members differ in their seeds only
-    if any(dict(vars(traj.config), seed=None) != ref for traj in trajectories):
+    ref = _SHARED_FIELDS(trajectories[0].config)  # members differ in their seeds only
+    if any(_SHARED_FIELDS(traj.config) != ref for traj in trajectories):
         raise ValueError("trajectories come from differing configs")
     t_max = trajectories[0].config.t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
@@ -487,6 +503,16 @@ def cycle_rate(cfg: CycleConfig) -> float:
     return ge * p / (p + ge * cfg.step_duration_s)
 
 
+def rate_equation_steps(cfg: CycleConfig) -> float:
+    """t_max over the largest RK4 step, min(t_max/200, 0.01/R); rate_equation_trajectory takes its
+    ceiling, at least one, as its step count. A float, inf once 100 R t_max passes the largest double."""
+    r = cycle_rate(cfg)
+    dt = cfg.t_max_s / 200.0
+    if r > 0.0:
+        dt = min(dt, 0.01 / r)
+    return cfg.t_max_s / dt
+
+
 def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:
     """Deterministic mean-field companion to the Monte Carlo.
 
@@ -496,10 +522,7 @@ def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:
     """
     r = cycle_rate(cfg)
     h = cfg.heating_rate
-    dt = cfg.t_max_s / 200.0
-    if r > 0.0:
-        dt = min(dt, 0.01 / r)
-    steps = max(int(math.ceil(cfg.t_max_s / dt)), 1)
+    steps = max(int(math.ceil(rate_equation_steps(cfg))), 1)
     dt = cfg.t_max_s / steps
 
     half = 0.5 * dt

@@ -64,7 +64,7 @@ def test_all_nine_criteria_present(verdicts):
     assert sorted(verdicts) == list(range(1, 10))
 
 
-def _markov_matrix_by_loops(gamma, eta_sp, tau_i, h, n_max):
+def _markov_matrix_by_loops(gamma, eta_sp, tau_i, h, n_max, transfer_prob):
     """Element-by-element build of the oracle's transition matrix and dwell integrals."""
     ge = gamma * eta_sp
     size = n_max + 1
@@ -91,22 +91,31 @@ def _markov_matrix_by_loops(gamma, eta_sp, tau_i, h, n_max):
             if m_mid == 0:
                 p_matrix[n, 0] += pi
                 continue
+            p_matrix[n, m_mid] += (1.0 - transfer_prob) * pi  # the interval ends without a transfer
+            pt = transfer_prob * pi
             m = m_mid - 1
-            expected_nt[n] += pi * (m / ge + h / ge ** 2)
-            expected_t[n] += pi / ge
+            expected_nt[n] += pt * (m / ge + h / ge ** 2)
+            expected_t[n] += pt / ge
             for j, pj in enumerate(geom):
-                p_matrix[n, min(m + j, n_max)] += pi * pj
+                p_matrix[n, min(m + j, n_max)] += pt * pj
     return p_matrix, expected_nt, expected_t
 
 
+def _oracle_case(*args, transfer_prob=1.0):
+    """One oracle case; its id names the transfer probability only below 1."""
+    shown = args if transfer_prob == 1.0 else (*args, transfer_prob)
+    return pytest.param(*args, transfer_prob, id="-".join(map(str, shown)))
+
+
 @pytest.mark.parametrize(
-    "gamma, eta_sp, tau_i, h, n_max",
-    [(8.0, 0.9, 0.02, 4.0, 200), (8.0, 0.9, 0.02, 4.0, 5), (5.0, 0.5, 0.3, 6.0, 8), (10.0, 0.7, 0.01, 0.0, 20)],
+    "gamma, eta_sp, tau_i, h, n_max, transfer_prob",
+    [_oracle_case(8.0, 0.9, 0.02, 4.0, 200), _oracle_case(8.0, 0.9, 0.02, 4.0, 5), _oracle_case(5.0, 0.5, 0.3, 6.0, 8),
+     _oracle_case(10.0, 0.7, 0.01, 0.0, 20), _oracle_case(8.0, 0.9, 0.02, 4.0, 30, transfer_prob=0.6)],
 )
-def test_markov_oracle_equals_the_element_loop(gamma, eta_sp, tau_i, h, n_max):
+def test_markov_oracle_equals_the_element_loop(gamma, eta_sp, tau_i, h, n_max, transfer_prob):
     # the array build must add the same terms in the same order, so the
     # result is bit-identical; small n_max exercises the lumping at n_max
-    p_matrix, expected_nt, expected_t = _markov_matrix_by_loops(gamma, eta_sp, tau_i, h, n_max)
+    p_matrix, expected_nt, expected_t = _markov_matrix_by_loops(gamma, eta_sp, tau_i, h, n_max, transfer_prob)
     size = n_max + 1
     a = p_matrix.T - np.eye(size)
     a[-1, :] = 1.0
@@ -115,7 +124,7 @@ def test_markov_oracle_equals_the_element_loop(gamma, eta_sp, tau_i, h, n_max):
     pi_vec = np.clip(np.linalg.solve(a, b), 0.0, None)
     pi_vec /= pi_vec.sum()
     want = float(np.dot(pi_vec, expected_nt) / np.dot(pi_vec, expected_t))
-    assert markov_steady_state_occupation(gamma, eta_sp, tau_i, h, n_max=n_max) == want
+    assert markov_steady_state_occupation(gamma, eta_sp, tau_i, h, n_max=n_max, transfer_prob=transfer_prob) == want
 
 
 @pytest.mark.parametrize(

@@ -266,7 +266,15 @@ def test_simulate_validates_before_simulating(tmp_path, monkeypatch, capsys):
     (["--grid-points", "100000000000"], "--grid-points"),
     (["--grid-points", "100001"], "--grid-points"),
     (["--trajectories", "100000", "--grid-points", "1001"], "--grid-points"),
-], ids=["1e11-trajectories", "trajectories-ceiling", "1e11-grid-points", "grid-points-ceiling", "grid-samples"])
+    # each flag is valid on its own; the ensemble would record about 2e9 and 4.7e7 rows
+    (["--gamma", "11", "--step-duration-s", "0.001", "--t-max-s", "1", "--heating-rate", "1e9",
+      "--trajectories", "2"], "--heating-rate"),
+    (["--gamma", "1e6", "--step-duration-s", "1e-7", "--t-max-s", "1", "--n-initial", "100000000",
+      "--trajectories", "2"], "--step-duration-s"),
+    # two rows, but about 7e9 steps of the rate equation
+    (["--gamma", "1e6", "--step-duration-s", "1e-7", "--t-max-s", "100", "--trajectories", "2"], "--t-max-s"),
+], ids=["1e11-trajectories", "trajectories-ceiling", "1e11-grid-points", "grid-points-ceiling", "grid-samples",
+        "heating-rows", "transfer-rows", "rate-equation-steps"])
 def test_simulate_refuses_sizes_above_the_ceiling(tmp_path, monkeypatch, capsys, sizes, flag):
     import thermolight.cli as cli
 

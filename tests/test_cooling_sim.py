@@ -1,10 +1,12 @@
 """Stochastic cooling-cycle simulator against its analytic oracles."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from thermolight import (
     CycleConfig,
@@ -33,7 +35,7 @@ def test_config_validation():
 
     for bad in (dict(gamma=0.0), dict(gamma=-1.0), dict(eta_sp=-0.1), dict(eta_sp=0.0), dict(eta_sp=1.5),
                 dict(step_duration_s=0.0), dict(t_max_s=-1.0), dict(heating_rate=-2.0),
-                dict(n_initial=-1), dict(seed=-5)):
+                dict(n_initial=-1), dict(n_initial=2 ** 62), dict(seed=-5)):
         with pytest.raises(ValueError):
             replace(BASE, **bad)
     for bad in (-0.1, 1.1, math.nan, True, lambda n: 0.5):
@@ -148,13 +150,24 @@ def test_ensemble_reproducibility_and_distinct_members():
         assert tr.config == replace(BASE, seed=int(seed))
 
 
-def test_ensemble_stats_rejects_mixed_configs():
-    from dataclasses import replace
+# one other value for every CycleConfig field a member shares with its ensemble
+ALTERED = {"gamma": 9.0, "eta_sp": 0.5, "step_duration_s": 2e-3, "t_max_s": 2.0, "heating_rate": 1.0,
+           "n_initial": 19, "transfer_prob": 0.5}
 
+
+def test_ensemble_stats_rejects_mixed_configs():
+    assert set(ALTERED) == {f.name for f in fields(CycleConfig)} - {"seed"}
     trajs = simulate_ensemble(BASE, 4)
-    alien = simulate_trajectory(replace(BASE, gamma=9.0, seed=1))
-    with pytest.raises(ValueError):
-        ensemble_stats(trajs + [alien])
+    accepted = []
+    for name, value in ALTERED.items():
+        alien = simulate_trajectory(replace(BASE, **{name: value}, seed=1))
+        try:
+            ensemble_stats(trajs + [alien])
+        except ValueError as exc:
+            assert "differing configs" in str(exc), name
+        else:
+            accepted.append(name)
+    assert accepted == []
     with pytest.raises(ValueError):
         ensemble_stats(trajs[:1])
 
@@ -511,3 +524,30 @@ def test_rate_equation_is_bit_identical_to_the_closure_form(cfg):
     times, n = closure_rate_equation(cfg)
     assert curve.times_s.tobytes() == times.tobytes()
     assert curve.n.tobytes() == n.tobytes()
+
+
+WINDOW_ENSEMBLES = {
+    "cooling": replace(BASE, t_max_s=1.0),
+    "heated": HEATED,
+    "partial-transfer": replace(BASE, transfer_prob=0.6, heating_rate=3.0, t_max_s=1.0),
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(sorted(WINDOW_ENSEMBLES)), seed=st.integers(0, 2 ** 64 - 1),
+       members=st.integers(2, 6), data=st.data())
+def test_time_average_is_its_entry_of_the_ensemble_pass(kind, seed, members, data):
+    trajectories = simulate_ensemble(replace(WINDOW_ENSEMBLES[kind], seed=seed), members)
+    t_max = trajectories[0].config.t_max_s
+    times = np.concatenate([tr.times_s for tr in trajectories])
+    numbers = np.concatenate([tr.phonon_numbers for tr in trajectories], dtype=float)
+    sizes = np.array([tr.times_s.size for tr in trajectories])
+    # windows from 0, to t_max, at event times and between two consecutive events of the ensemble
+    events = sorted(set(times.tolist()) | {t_max})
+    inner = st.one_of(st.floats(0.0, t_max), st.sampled_from(events))
+    gaps = st.integers(0, len(events) - 2).map(lambda i: (events[i], events[i + 1]))
+    t0, t1 = data.draw(st.one_of(st.just((0.0, t_max)), st.tuples(st.just(0.0), inner), st.tuples(inner, st.just(t_max)),
+                                 st.tuples(inner, inner).map(sorted), gaps))
+    assume(t0 < t1)
+    wide = cooling_sim._window_means(times, numbers, sizes, t0, t1)
+    assert [tr.time_average(t0, t1) for tr in trajectories] == wide.tolist()
