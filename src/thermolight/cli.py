@@ -27,7 +27,6 @@ from .cooling_sim import (
     cycle_rate,
     ensemble_counters,
     ensemble_stats,
-    rate_equation_steps,
     rate_equation_trajectory,
     simulate_ensemble,
 )
@@ -72,18 +71,18 @@ from .svgplot import line_plot
 DEFAULT_SEED = 20260825
 # simulate's size ceilings, checked before any simulation: each member keeps its record (a few kB),
 # and the ensemble statistics sample every member at every grid time (8 bytes each, about three
-# copies at a time), so the product bounds their memory near 2.4 GB
+# copies at a time), so the product bounds their memory near 2.4 GB; spectrum's --points shares
+# the grid ceiling
 MAX_TRAJECTORIES = 100_000
 MAX_GRID_POINTS = 100_000
 MAX_GRID_SAMPLES = 100_000_000
-# and a ceiling on the rows an ensemble records, from the upper estimate in _recorded_rows: a
+# and a ceiling on the rows an ensemble records, from the mean estimate in _recorded_rows: a
 # recorded row holds about 60 bytes at the statistics' peak and takes about a microsecond to
 # simulate, so the ceiling bounds a run near 0.6 GB and tens of seconds
 MAX_RECORDED_ROWS = 10_000_000
 ROWS_ESTIMATE = ("1 + h*t_max heating events + T*(1 + 1/eta_SP) rows per trajectory, "
-                 "T = min(n0 + h*t_max, t_max/tau_I) transfers each with about 1/eta_SP scatters")
-# the rate equation keeps every RK4 step as a float and a CSV row, about 200 bytes each
-MAX_RATE_EQUATION_STEPS = 1_000_000
+                 "T = min(n0 + h*t_max, R*t_max) transfers at the cycle rate R, each with about 1/eta_SP "
+                 "scatters")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -115,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-nm", type=float, nargs=2, metavar=("LO", "HI"), default=[300.0, 1200.0],
                    help="wavelength band, each bound within [%.3g, %.3g] nm, where every density and its Jacobian "
                         "are finite doubles (default %%(default)s)" % DENSITY_BAND_NM)
-    p.add_argument("--points", type=int, default=601, help="grid size (default %(default)s)")
+    p.add_argument("--points", type=int, default=601, help=f"grid size, 2 to {MAX_GRID_POINTS} (default %(default)s)")
     p.add_argument("--polarizations", type=int, choices=[1, 2], default=2,
                    help="q1d polarization count (default %(default)s)")
     p.add_argument("--svg", action="store_true", help="also write an SVG line plot")
@@ -144,9 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="stochastic two-step cooling-cycle ensemble",
                        description=f"Stochastic two-step cooling-cycle ensemble. An ensemble is refused before "
                                    f"it is simulated when its estimated record, {ROWS_ESTIMATE}, times "
-                                   f"--trajectories, exceeds {MAX_RECORDED_ROWS:.0e} rows, or when its rate "
-                                   f"equation needs more than {MAX_RATE_EQUATION_STEPS:.0e} RK4 steps "
-                                   f"(max(200, 100*R*t_max), R the cycle rate).")
+                                   f"--trajectories, exceeds {MAX_RECORDED_ROWS:.0e} rows.")
     p.set_defaults(handler=cmd_simulate)
     p.add_argument("--gamma", type=float, help="D->P excitation rate in 1/s")
     p.add_argument("--eta-sp", type=float, help="P->S branching fraction")
@@ -161,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"resampling grid size, 3 to {MAX_GRID_POINTS}, with --trajectories times --grid-points "
                         f"at most {MAX_GRID_SAMPLES:.0e} (default %(default)s)")
     p.add_argument("--write-trajectories", type=int, default=3,
-                   help="how many member CSVs to write (default %(default)s)")
+                   help="how many member CSVs to write, 0 or more (default %(default)s)")
     p.add_argument("--svg", action="store_true", help="also write an SVG of the mean curve")
 
     p = sub.add_parser("reduce", parents=[common], help="reduce raw spectrometer counts to a calibrated PSD")
@@ -271,8 +268,8 @@ def cmd_spectrum(args) -> dict:
     lo, hi = (real_value("--band-nm", v, *DENSITY_BAND_NM, open_lo=False) for v in args.band_nm)
     if not lo < hi:
         raise ValueError(f"--band-nm must satisfy lo < hi, got [{lo!r}, {hi!r}]")
-    if args.points < 2:
-        raise ValueError("need at least two grid points")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise ValueError(f"--points must be in [2, {MAX_GRID_POINTS}], got {args.points}")
     t = Temperature(real_value("--temperature-k", args.temperature_k))
     grid = np.linspace(lo, hi, args.points)
     kind, density = _SPECTRA[args.family, args.domain]
@@ -388,12 +385,12 @@ def cmd_virtual_temp(args) -> dict:
 
 
 def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
-    """Upper estimate of the rows an ensemble records (see ROWS_ESTIMATE), and the flag of its largest term."""
+    """Mean estimate of the rows an ensemble records (see ROWS_ESTIMATE), and the flags of its largest term."""
     heating = cfg.heating_rate * cfg.t_max_s
-    intervals = cfg.t_max_s / cfg.step_duration_s
+    cycles = cycle_rate(cfg) * cfg.t_max_s
     n0 = cfg.n_initial
-    if n0 + heating >= intervals:
-        transfers, flag = intervals, "--step-duration-s"
+    if n0 + heating >= cycles:
+        transfers, flag = cycles, "the cycle rate of --gamma, --eta-sp and --step-duration-s"
     else:
         transfers, flag = n0 + heating, "--n-initial" if n0 > heating else "--heating-rate"
     transfer_rows = transfers * (1.0 + 1.0 / cfg.eta_sp)
@@ -421,18 +418,16 @@ def cmd_simulate(args) -> dict:
     if args.trajectories * args.grid_points > MAX_GRID_SAMPLES:
         raise ValueError(f"--trajectories times --grid-points must be at most {MAX_GRID_SAMPLES:.0e}, got "
                          f"{args.trajectories} x {args.grid_points}")
+    if args.write_trajectories < 0:
+        raise ValueError(f"--write-trajectories must be 0 or more, got {args.write_trajectories}")
     rows, flag = _recorded_rows(cfg, args.trajectories)
     if rows > MAX_RECORDED_ROWS:
         raise ValueError(f"{flag} gives about {rows:.3g} recorded rows over --t-max-s {cfg.t_max_s:g} and "
                          f"--trajectories {args.trajectories}, above the ceiling of {MAX_RECORDED_ROWS:.0e} "
                          f"(the estimate is in simulate --help)")
-    steps = rate_equation_steps(cfg)
-    if steps > MAX_RATE_EQUATION_STEPS:
-        raise ValueError(f"--t-max-s {cfg.t_max_s:g} needs about {steps:.3g} rate-equation steps at the cycle "
-                         f"rate {cycle_rate(cfg):.3g}/s, above the ceiling of {MAX_RATE_EQUATION_STEPS:.0e}")
     trajectories = simulate_ensemble(cfg, args.trajectories)
     stats = ensemble_stats(trajectories, grid_points=args.grid_points)
-    ode = rate_equation_trajectory(cfg)
+    ode = rate_equation_trajectory(cfg, grid_points=args.grid_points)
 
     files = {}
     for k in range(min(args.write_trajectories, len(trajectories))):

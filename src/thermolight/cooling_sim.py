@@ -503,43 +503,44 @@ def cycle_rate(cfg: CycleConfig) -> float:
     return ge * p / (p + ge * cfg.step_duration_s)
 
 
-def rate_equation_steps(cfg: CycleConfig) -> float:
-    """t_max over the largest RK4 step, min(t_max/200, 0.01/R); rate_equation_trajectory takes its
-    ceiling, at least one, as its step count. A float, inf once 100 R t_max passes the largest double."""
-    r = cycle_rate(cfg)
-    dt = cfg.t_max_s / 200.0
-    if r > 0.0:
-        dt = min(dt, 0.01 / r)
-    return cfg.t_max_s / dt
+def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCurve:
+    """Mean-field companion to the Monte Carlo, dn/dt = -R n/(n + 1/2) + h, on ensemble_stats' grid.
 
-
-def rate_equation_trajectory(cfg: CycleConfig) -> RateCurve:
-    """Deterministic mean-field companion to the Monte Carlo.
-
-    Integrates dn/dt = -R n/(n + 1/2) + h by fixed-step RK4, where R is
-    the busy-cycle rate and the n/(n + 1/2) factor turns the sideband off
-    smoothly at the ground state. Step size at most 0.01/R.
+    R is the busy-cycle rate; n/(n + 1/2) turns the sideband off smoothly at the ground state. With
+    a = h - R, b = h/2, c = a n0 + b, d = n - n0 and y = a d/c, the time to reach n is exactly
+    t(n) = d (n0 + 1/2)/c - (R/2) (d/c)^2 g(y), g(y) = (ln(1 + y) - y)/y^2, in every regime. Each
+    grid time t_k bisects the bit patterns of the doubles between n0 and the fixed point -b/a
+    (n0 + h t_max if a >= 0) to one ulp, keeping the end where t <= t_k when cooling and t < t_k
+    otherwise, so a NaN counts as not reached: past the fixed point, and everywhere but n0 when
+    c = 0, where the curve stays at n0. All grid times start from one bracket and compare the same
+    computed t(mid), so two of them halve alike until a mid that one has reached and the other has
+    not: n is monotone bit for bit, whatever the rounding of t(n), and n[0] = n0.
     """
-    r = cycle_rate(cfg)
-    h = cfg.heating_rate
-    steps = max(int(math.ceil(rate_equation_steps(cfg))), 1)
-    dt = cfg.t_max_s / steps
-
-    half = 0.5 * dt
-    n = float(cfg.n_initial)
-    out = [n]
-    for _ in range(steps):
-        k1 = -r * n / (n + 0.5) + h
-        x = n + half * k1
-        x = x if x > 0.0 else 0.0
-        k2 = -r * x / (x + 0.5) + h
-        x = n + half * k2
-        x = x if x > 0.0 else 0.0
-        k3 = -r * x / (x + 0.5) + h
-        x = n + dt * k3
-        x = x if x > 0.0 else 0.0
-        k4 = -r * x / (x + 0.5) + h
-        n = n + dt * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        n = n if n > 0.0 else 0.0
-        out.append(n)
-    return RateCurve(times_s=np.linspace(0.0, cfg.t_max_s, steps + 1), n=np.array(out))
+    grid_points = int_value("grid_points", grid_points, 1)
+    r, h, n0 = cycle_rate(cfg), cfg.heating_rate, float(cfg.n_initial)
+    times = np.linspace(0.0, cfg.t_max_s, grid_points)
+    # rates in units of the larger one keep a n0 + b finite; t(n) is then in units of 1/scale
+    scale = max(r, h) or 1.0
+    a, b, r = (h - r) / scale, 0.5 * h / scale, r / scale
+    c = a * n0 + b
+    # g's series, highest power first, where |y| < 0.01: the direct form cancels there (as h -> R)
+    series = [(-1.0) ** (k + 1) / (k + 2) for k in range(8, -1, -1)]
+    cooling = c < 0.0
+    end = b / -a if a < 0.0 else n0 + h * cfg.t_max_s
+    bracket = (min(end, n0), n0) if cooling else (n0, max(end, n0))
+    # int64 views order non-negative doubles; widths stay within one, so this many halvings leave one ulp
+    lo, hi = (np.full(grid_points, v).view(np.int64) for v in bracket)
+    with np.errstate(all="ignore"):  # overflowing scaled times; NaN where c = 0, past the fixed point, at y = 0
+        clock = times * scale
+        for _ in range(int(hi[0] - lo[0] - 1).bit_length()):
+            mid = lo + (hi - lo) // 2
+            n = mid.view(np.float64)
+            dc = (n - n0) / c
+            y = a * dc
+            # ln(1 + y) from the ratio: a d/c rounds to -1 once n << n0
+            g = np.where(abs(y) < 0.01, np.polyval(series, y), (np.log((a * n + b) / c) - y) / (y * y))
+            t = dc * (n0 + 0.5) - 0.5 * r * dc * dc * g
+            below = t <= clock if cooling else ~(t < clock)  # n at the grid time is at most mid
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    return RateCurve(times_s=times, n=(hi if cooling else lo).view(np.float64))

@@ -266,15 +266,14 @@ def test_simulate_validates_before_simulating(tmp_path, monkeypatch, capsys):
     (["--grid-points", "100000000000"], "--grid-points"),
     (["--grid-points", "100001"], "--grid-points"),
     (["--trajectories", "100000", "--grid-points", "1001"], "--grid-points"),
-    # each flag is valid on its own; the ensemble would record about 2e9 and 4.7e7 rows
+    # each flag is valid on its own; the ensemble would record about 2e9 and 1.6e7 rows
     (["--gamma", "11", "--step-duration-s", "0.001", "--t-max-s", "1", "--heating-rate", "1e9",
       "--trajectories", "2"], "--heating-rate"),
     (["--gamma", "1e6", "--step-duration-s", "1e-7", "--t-max-s", "1", "--n-initial", "100000000",
-      "--trajectories", "2"], "--step-duration-s"),
-    # two rows, but about 7e9 steps of the rate equation
-    (["--gamma", "1e6", "--step-duration-s", "1e-7", "--t-max-s", "100", "--trajectories", "2"], "--t-max-s"),
+      "--trajectories", "10"], "--step-duration-s"),
+    (["--write-trajectories", "-5"], "--write-trajectories"),
 ], ids=["1e11-trajectories", "trajectories-ceiling", "1e11-grid-points", "grid-points-ceiling", "grid-samples",
-        "heating-rows", "transfer-rows", "rate-equation-steps"])
+        "heating-rows", "transfer-rows", "negative-write-trajectories"])
 def test_simulate_refuses_sizes_above_the_ceiling(tmp_path, monkeypatch, capsys, sizes, flag):
     import thermolight.cli as cli
 
@@ -286,6 +285,36 @@ def test_simulate_refuses_sizes_above_the_ceiling(tmp_path, monkeypatch, capsys,
     run_main_refused(["simulate", "--gamma", "11.06", "--eta-sp", "0.74", "--step-duration-s", "1e-3",
                       "--t-max-s", "0.1", "--out", str(out), *sizes], capsys, flag)
     assert not out.exists()
+
+
+class Simulated(Exception):
+    """Raised in place of simulating: the flags passed every check that comes before the ensemble."""
+
+
+def test_simulate_takes_a_fast_cycle_below_the_row_ceiling(tmp_path, monkeypatch, capsys):
+    import thermolight.cli as cli
+
+    def sentinel(*args, **kwargs):
+        raise Simulated
+
+    monkeypatch.setattr(cli, "simulate_ensemble", sentinel)
+    # t_max/tau_I would count 2e6 transfers per member; at the cycle rate of about 6.9e3/s there are
+    # 1.4e5, and the ensemble records about 6.5e5 rows
+    with pytest.raises(Simulated):
+        cli.main(["simulate", "--gamma", "1e4", "--eta-sp", "0.74", "--step-duration-s", "1e-5", "--t-max-s", "20",
+                  "--n-initial", "100000000", "--trajectories", "2", "--out", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+
+
+def test_simulate_writes_the_rate_equation_on_the_grid(tmp_path, capsys):
+    # R t_max is about 7e7 here; the mean-field curve costs the same at any R t_max
+    argv = ["simulate", "--gamma", "1e6", "--eta-sp", "0.74", "--step-duration-s", "1e-7", "--t-max-s", "100",
+            "--trajectories", "2", "--grid-points", "31", "--out", str(tmp_path)]
+    code, _, err = run_main(argv, capsys)
+    assert code == 0, err
+    rows = (tmp_path / "rate_equation.csv").read_text().splitlines()
+    assert rows[0] == "time_s,n" and len(rows) == 1 + 31
+    assert rows[1] == "0.0,0.0" and rows[-1] == "100.0,0.0"  # n0 = 0 without heating stays there
 
 
 def test_import_loads_no_scipy():
@@ -446,13 +475,11 @@ def test_rate_flags_gamma_beyond_the_linear_regime(tmp_path, capsys):
     ["--band-nm", "900", "400"],
     ["--band-nm", "0", "900"],
     ["--points", "1"],
-], ids=["reversed-band", "zero-band", "one-point"])
+    ["--points", "100001"],  # one above the ceiling: a value that would allocate is never tried
+], ids=["reversed-band", "zero-band", "one-point", "points-ceiling"])
 def test_spectrum_rejects_bad_grid(tmp_path, capsys, bad):
     out = tmp_path / "out"
-    code, stdout, err = run_main(["spectrum", *as_flags(BASE_PARAMS["spectrum"]), *bad, "--out", str(out)], capsys)
-    assert code == 1 and stdout == ""
-    lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
+    run_main_refused(["spectrum", *as_flags(BASE_PARAMS["spectrum"]), *bad, "--out", str(out)], capsys, bad[0])
     assert not out.exists()
 
 

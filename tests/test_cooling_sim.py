@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermolight import (
@@ -490,7 +490,7 @@ def test_one_pass_stats_match_the_member_by_member_reference(cfg, members, grid_
 
 
 def closure_rate_equation(cfg):
-    """rate_equation_trajectory as it was written with a slope closure and max(), kept to pin the results."""
+    """The fixed-step RK4 integration rate_equation_trajectory once ran, kept as a reference for the closed form."""
     r = cycle_rate(cfg)
     h = cfg.heating_rate
     dt = cfg.t_max_s / 200.0
@@ -518,12 +518,51 @@ def closure_rate_equation(cfg):
 @pytest.mark.parametrize("cfg", [
     replace(BASE, n_initial=50, t_max_s=8.0),
     replace(HEATED, heating_rate=4.0, n_initial=3),
-], ids=["cooling", "heated"])
-def test_rate_equation_is_bit_identical_to_the_closure_form(cfg):
-    curve = rate_equation_trajectory(cfg)
-    times, n = closure_rate_equation(cfg)
+    replace(HEATED, heating_rate=cycle_rate(HEATED) * (1.0 - 1e-9)),
+    replace(HEATED, heating_rate=2.6 * cycle_rate(HEATED), transfer_prob=0.6, n_initial=40),
+    # R = 3 and h = 2 put the fixed point h/(2(R - h)) at n0 = 1, where dn/dt is exactly 0
+    CycleConfig(gamma=3.0, eta_sp=1.0, step_duration_s=1e-300, t_max_s=3.0, seed=1, heating_rate=2.0, n_initial=1),
+], ids=["cooling", "heated", "near-balance", "runaway", "fixed-point-start"])
+def test_rate_equation_agrees_with_the_rk4_closure(cfg):
+    times, want = closure_rate_equation(cfg)
+    curve = rate_equation_trajectory(cfg, grid_points=times.size)
     assert curve.times_s.tobytes() == times.tobytes()
-    assert curve.n.tobytes() == n.tobytes()
+    big = want > 1e-3  # below, RK4's own error is about 5e-11 absolute
+    np.testing.assert_allclose(curve.n[big], want[big], rtol=1e-8, atol=0.0)
+    np.testing.assert_allclose(curve.n[~big], want[~big], rtol=0.0, atol=1e-10)
+
+
+@settings(deadline=None, max_examples=60)
+@given(n0=st.integers(0, 1000), gamma=st.floats(1.0, 100.0), eta_sp=st.floats(0.1, 1.0),
+       tau=st.floats(1e-4, 0.1), p=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+       load=st.one_of(st.sampled_from([0.0, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]), st.floats(0.0, 3.0)),
+       span=st.floats(0.1, 80.0))
+@example(n0=36, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.0, span=80.0)  # down to n of about 1e-37
+@example(n0=0, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=1.0 - 1e-9, span=30.0)  # h just below R
+def test_rate_equation_solves_its_ode(n0, gamma, eta_sp, tau, p, load, span):
+    cfg = CycleConfig(gamma=gamma, eta_sp=eta_sp, step_duration_s=tau, t_max_s=1.0, seed=1, transfer_prob=p,
+                      n_initial=n0)
+    r = cycle_rate(cfg)
+    h = load * r if r > 0.0 else load  # h as a share of R, or in 1/s where nothing cools
+    cfg = replace(cfg, heating_rate=h, t_max_s=span / r if r > 0.0 else span)
+    curve = rate_equation_trajectory(cfg, grid_points=4001)
+    n, t = curve.n, curve.times_s
+    assert n[0] == n0
+    rate0 = -r * n0 / (n0 + 0.5) + h
+    steps = np.diff(n)
+    if rate0 == 0.0:
+        assert np.all(n == n0)
+    else:
+        assert np.all(steps >= 0.0 if rate0 > 0.0 else steps <= 0.0)
+    if h < r:  # the curve approaches the fixed point from its own side, to within the fixed point's rounding
+        fixed = 0.5 * h / (r - h)
+        ulps = 4.0 * np.spacing(fixed)
+        assert np.all(n <= fixed + ulps if rate0 > 0.0 else n >= fixed - ulps)
+    # a centred difference against the ODE, down to the rounding of the difference itself
+    slope = (n[2:] - n[:-2]) / (t[2:] - t[:-2])
+    rate = -r * n[1:-1] / (n[1:-1] + 0.5) + h
+    rounding = 4.0 * np.spacing(np.maximum(n[2:], n[:-2])) / (t[2:] - t[:-2])
+    assert np.all(np.abs(slope - rate) <= 1e-3 * np.abs(rate) + rounding)
 
 
 WINDOW_ENSEMBLES = {
