@@ -17,6 +17,8 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
 
 import numpy as np
 
@@ -226,6 +228,18 @@ def _require(args: argparse.Namespace, *names: str):
         raise ValueError(f"missing required parameter(s): {flags} (flag or config key)")
 
 
+@contextmanager
+def _flag_names(flags: dict):
+    """Re-raise a constructor's ValueError that starts with a field's name with that field's flag instead."""
+    try:
+        yield
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if field not in flags:
+            raise
+        raise ValueError(f"{flags[field]} {rest}") from None
+
+
 def _out_path(args: argparse.Namespace, name: str) -> str:
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
@@ -318,12 +332,14 @@ def cmd_rate(args) -> dict:
         g = grayness(top_hat_area(focus.waist_m), omega2)
     else:
         g = args.grayness
-    drive = CoolingDrive(
-        eta_delivery=args.eta,
-        grayness=g,
-        omega_motion=AngularFrequency(2.0 * math.pi * 1e6),  # not used by the rate
-        p_d=args.p_d,
-    )
+    grayness_flag = "--grayness" if args.waist_um is None else "the grayness of --waist-um"
+    with _flag_names({"eta_delivery": "--eta", "grayness": grayness_flag, "p_d": "--p-d"}):
+        drive = CoolingDrive(
+            eta_delivery=args.eta,
+            grayness=g,
+            omega_motion=AngularFrequency(2.0 * math.pi * 1e6),  # not used by the rate
+            p_d=args.p_d,
+        )
     report = cooling_rate_report(ion, drive, Temperature(real_value("--temperature-k", args.temperature_k)))
     out = {
         "command": "rate",
@@ -401,15 +417,17 @@ def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
 
 def cmd_simulate(args) -> dict:
     _require(args, "gamma", "eta_sp", "step_duration_s", "t_max_s")
-    cfg = CycleConfig(
-        gamma=args.gamma,
-        eta_sp=args.eta_sp,
-        step_duration_s=args.step_duration_s,
-        t_max_s=args.t_max_s,
-        seed=args.seed,
-        heating_rate=args.heating_rate,
-        n_initial=args.n_initial,
-    )
+    # each field the command sets comes from the flag of its name
+    with _flag_names({f.name: "--" + f.name.replace("_", "-") for f in fields(CycleConfig)}):
+        cfg = CycleConfig(
+            gamma=args.gamma,
+            eta_sp=args.eta_sp,
+            step_duration_s=args.step_duration_s,
+            t_max_s=args.t_max_s,
+            seed=args.seed,
+            heating_rate=args.heating_rate,
+            n_initial=args.n_initial,
+        )
     # ensemble statistics need two members and three grid times
     if not 2 <= args.trajectories <= MAX_TRAJECTORIES:
         raise ValueError(f"--trajectories must be in [2, {MAX_TRAJECTORIES}], got {args.trajectories}")
@@ -522,22 +540,22 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
         report = args.handler(args)
-    except BrokenPipeError:
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "check":
-        if args.json:
-            print(json.dumps(report, indent=2))
-        else:
+        if args.command == "check" and not args.json:
             for r in report["results"]:
                 status = "PASS" if r["passed"] else "FAIL"
                 print(f"{status}  {r['index']}. {r['name']}: {r['detail']}")
             print("all criteria passed" if report["passed"] else "SOME CRITERIA FAILED")
-        return 0 if report["passed"] else 1
-    _print_report(report, args.json)
-    return 0
+        else:
+            _print_report(report, args.json)
+        sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's exit flush
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes to devnull at exit, with no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0 if args.command != "check" or report["passed"] else 1
 
 
 if __name__ == "__main__":

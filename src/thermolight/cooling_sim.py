@@ -26,6 +26,20 @@ the stream order is the same for every p):
 4. after a transfer, per event in D: an excitation wait, then a heating
    wait when h > 0 (the shorter one happens); after an excitation, the
    branching Bernoulli of probability eta_SP, back to S on success.
+
+Two kernels compute these runs, bit for bit alike, and the heating rate
+alone picks one. With h > 0 the event loop (_event_runs) takes each
+member's draws one at a time. With h = 0 which draw a uniform feeds depends
+on the uniforms alone: a transfer draw at each interval start, then after a
+success (excitation wait, branching draw) pairs until a branching success.
+So cooling_parse draws each member's first uniforms into one row of an
+array, finds every run's tokens for a chunk of members at once (a reversed
+running minimum for the next ending branch draw, one gather per cycle for
+the chain of interval starts; Blelloch 1990), and sums the waits along the
+rows. Heating cannot take that path: each heating wait within an interval
+is compared with the interval's end, t + dt >= t_end, in absolute times, so
+whether the next uniform is another heating wait or the transfer draw
+depends on the times the earlier uniforms made.
 """
 
 from __future__ import annotations
@@ -186,12 +200,11 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     return states
 
 
-def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
-    """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
+def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
+    """The event loop: each member's draws taken one at a time, in time order, for any heating rate.
 
+    Returns the members' records laid end to end (times, n, tags), each member's end row and counters.
     Each member's generator state comes from _pcg64_states and is set on one reused Generator.
-    All members' rows go into one typed buffer per column; each member holds read-only views
-    of its own rows.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
@@ -201,10 +214,9 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
     tau, t_max = cfg.step_duration_s, cfg.t_max_s
     times, numbers, tags = array("d"), array("q"), []
     put_t, put_n, put_tag = times.append, numbers.append, tags.append
-    cls, fields = type(cfg), vars(cfg)
-    runs = []
+    ends, runs = [], []
 
-    for seed, (state, inc) in zip(seeds.tolist(), _pcg64_states(seeds)):
+    for state, inc in _pcg64_states(seeds):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         uniform = _uniforms(rng).__next__
@@ -281,30 +293,46 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
                 if uniform() < eta_sp:
                     break  # back in S; cycle complete
 
-        counters = {
+        runs.append({
             "cycles": empty_intervals + transfers,
             "empty_intervals": empty_intervals,
             "transfers": transfers,
             "scatters": scatters,
             "heating_events": n - cfg.n_initial + transfers,  # n moves only by heating (+1) and transfer (-1)
             "stop_reason": stop_reason,
-        }
+        })
+        ends.append(len(tags))
+    return np.frombuffer(times, dtype=np.float64), np.frombuffer(numbers, dtype=np.int64), tags, ends, runs
+
+
+def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
+    """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
+
+    Runs with no heating are parsed in whole-ensemble passes (cooling_parse.parsed_runs); heated
+    runs take the event loop (_event_runs). All members' rows lie in one buffer per column; each
+    member holds read-only views of its own rows.
+    """
+    if cfg.heating_rate > 0.0:
+        return _members(cfg, seeds, *_event_runs(cfg, seeds))
+    from .cooling_parse import parsed_runs  # compiled on the first run with no heating only
+    return _members(cfg, seeds, *parsed_runs(cfg, seeds))
+
+
+def _members(cfg: CycleConfig, seeds: np.ndarray, times, numbers, tags, ends, counters) -> list:
+    """The trajectory objects of runs laid out as _event_runs returns them."""
+    times.setflags(write=False)
+    numbers.setflags(write=False)
+    cls, fields = type(cfg), vars(cfg)
+    trajectories = []
+    start = 0
+    for seed, end, counted in zip(seeds.tolist(), ends, counters):
         # each member copies cfg's validated fields; its seed, a uint64 word, is in range too
         member = object.__new__(cls)
         member.__dict__.update(fields, seed=seed)
-        runs.append((member, counters, len(tags)))
-
-    all_times = np.frombuffer(times, dtype=np.float64)
-    all_numbers = np.frombuffer(numbers, dtype=np.int64)
-    all_times.setflags(write=False)
-    all_numbers.setflags(write=False)
-    trajectories = []
-    start = 0
-    for member, counters, end in runs:
         # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
         traj = object.__new__(CoolingTrajectory)
-        traj.__dict__.update(times_s=all_times[start:end], phonon_numbers=all_numbers[start:end],
-                             states=tuple(tags[start:end]), config=member, counters=counters)
+        traj.__dict__.update(times_s=times[start:end], phonon_numbers=numbers[start:end],
+                             states=tuple(tags[start:end]), config=member, counters=counted)
         trajectories.append(traj)
         start = end
     return trajectories
@@ -365,6 +393,24 @@ def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
     return np.bincount(owner, weights=held, minlength=len(sizes)) / (t1 - t0)
 
 
+def _grid_cells(grid, times) -> np.ndarray:
+    """np.searchsorted(grid, times), the first grid time at or after each time, on a linspace grid from 0.
+
+    The cell index is ceil(t/step), moved by one where the grid's own values say so: t/step and the
+    grid's k*step each round by half an ulp, so they disagree by at most one cell.
+    """
+    step = grid[-1] / (grid.size - 1)
+    if not step >= np.finfo(float).tiny:  # subnormal steps round too coarsely for the one-cell correction
+        return np.searchsorted(grid, times)
+    cells = np.ceil(times / step)
+    np.clip(cells, 0, grid.size, out=cells)
+    cells = cells.astype(np.intp)
+    edges = np.concatenate(([-math.inf], grid, [math.inf]))  # edges[c] = grid[c - 1]
+    cells -= edges[cells] >= times
+    cells += edges[cells + 1] < times
+    return cells
+
+
 def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
     """Each member's n at each grid time, one row per member, laid out as in _window_means.
 
@@ -374,7 +420,7 @@ def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
     members apart.
     """
     cells = grid.size + 1
-    key = np.searchsorted(grid, times)  # the first grid time at or after each row
+    key = _grid_cells(grid, times)
     key += np.repeat(np.arange(0, len(sizes) * cells, cells), sizes)
     counts = np.bincount(key, minlength=len(sizes) * cells)
     del key  # the gather below needs the memory more
@@ -498,8 +544,14 @@ class RateCurve(NamedTuple):
 
 
 def cycle_rate(cfg: CycleConfig) -> float:
-    """Phonons removed per unit time while n >= 1: R = Gamma eta_SP p/(p + Gamma eta_SP tau_I)."""
+    """Phonons removed per unit time while n >= 1: R = Gamma eta_SP p/(p + Gamma eta_SP tau_I).
+
+    R = 0 at p = 0, where nothing is transferred; the formula reads 0/0 there once Gamma eta_SP tau_I
+    underflows.
+    """
     ge, p = cfg.gamma * cfg.eta_sp, cfg.transfer_prob
+    if p == 0.0:
+        return 0.0
     return ge * p / (p + ge * cfg.step_duration_s)
 
 

@@ -1,6 +1,7 @@
 """End-to-end command-line checks through subprocess, matching real usage."""
 
 import json
+import os
 import math
 import subprocess
 import sys
@@ -343,6 +344,26 @@ def test_check_reports_all_criteria(tmp_path):
     assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "--ion", "ba138p", "--eta", "0.5", "--grayness", "5e-5", "--temperature-k", "5800", "--json"],
+    ["check"],
+], ids=["rate-json", "check"])
+def test_a_closed_stdout_ends_without_a_traceback(tmp_path, argv):
+    # the pipe's reading end is closed before the child starts, so its first write to stdout fails;
+    # check's criteria are stubbed out, only its report is written
+    code = ("import sys; from thermolight import acceptance, cli; "
+            "acceptance.run_all = lambda: []; sys.exit(cli.main(sys.argv[1:]))")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path)], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, proc.stderr
+
+
 # -- config files, in process through cli.main ------------------------------
 
 BASE_PARAMS = {
@@ -489,7 +510,18 @@ def test_simulate_refuses_a_cycle_that_never_completes(tmp_path, capsys):
     code, stdout, err = run_main(["simulate", *as_flags(params), "--out", str(out)], capsys)
     assert code == 1 and stdout == ""
     lines = err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "eta_sp" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--eta-sp" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--eta-sp", "0"], "--eta-sp"),
+    (["--seed", "-1"], "--seed"),
+    (["--n-initial", "99999999999999999999"], "--n-initial"),
+], ids=["zero-eta-sp", "negative-seed", "huge-n-initial"])
+def test_simulate_names_the_flag_of_a_bad_config(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    run_main_refused(["simulate", *as_flags(BASE_PARAMS["simulate"]), *flags, "--out", str(out)], capsys, named)
     assert not out.exists()
 
 
@@ -522,8 +554,9 @@ def run_main_refused(argv, capsys, flag):
     (["--waist-um", "0.3", "--temperature-k", "5800"], "--waist-um 0.3 is outside the paraxial focus model"),
     (["--waist-um", "0.01", "--temperature-k", "5800"], "--waist-um 0.01 is outside the paraxial focus model"),
     (["--waist-um", "1e-300", "--temperature-k", "5800"], "--waist-um 1e-300 is outside the paraxial focus model"),
+    (["--grayness", "5e-5", "--temperature-k", "5800", "--p-d", "nan"], "--p-d must be"),
 ], ids=["inf-temperature", "nan-temperature", "huge-waist", "non-paraxial-waist", "sub-diffraction-waist",
-        "tiny-waist"])
+        "tiny-waist", "nan-p-d"])
 def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     run_main_refused(["rate", "--ion", "ba138p", "--eta", "0.5", *flags, "--out", str(out)], capsys, named)

@@ -199,6 +199,17 @@ def test_cycle_rate_formula():
     assert cycle_rate(BASE) == pytest.approx(ge / (1.0 + ge * BASE.step_duration_s), rel=1e-12)
 
 
+@pytest.mark.parametrize("n0", [0, 3])
+def test_no_transfer_has_no_cycle_rate(n0):
+    # Gamma eta_SP tau_I underflows to 0 here, where the formula alone reads 0/0
+    cfg = CycleConfig(gamma=1e-200, eta_sp=0.5, step_duration_s=1e-200, t_max_s=1, seed=1, transfer_prob=0,
+                      n_initial=n0)
+    assert cycle_rate(cfg) == 0.0
+    stats = ensemble_stats(simulate_ensemble(cfg, 4))
+    assert stats.slope_window_s[0] == 0.0 and abs(stats.slope_per_s) < 1e-12 and np.all(stats.mean_n == n0)
+    assert np.all(rate_equation_trajectory(cfg).n == n0)
+
+
 def test_ensemble_slope_matches_renewal_rate():
     trajs = simulate_ensemble(BASE, 300)
     stats = ensemble_stats(trajs)

@@ -1,0 +1,146 @@
+"""The no-heating kernel (cooling_parse) against the event loop, bit for bit; grid cells against np.searchsorted.
+
+The event loop (`_event_runs`) is the reference: every trajectory the parse
+kernel returns must equal it in times, phonon numbers, tags, counters and
+member config. Run with `--hypothesis-profile=ci` to explore many more
+configs than the default profile does.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from thermolight import CycleConfig, simulate_ensemble, simulate_trajectory
+from thermolight import cooling_parse, cooling_sim
+
+
+def event_loop(cfg, seeds):
+    return cooling_sim._members(cfg, seeds, *cooling_sim._event_runs(cfg, seeds))
+
+
+def parsed(cfg, seeds):
+    return cooling_sim._members(cfg, seeds, *cooling_parse.parsed_runs(cfg, seeds))
+
+
+def assert_same(members, reference):
+    assert len(members) == len(reference)
+    for got, want in zip(members, reference):
+        assert got.times_s.tobytes() == want.times_s.tobytes()
+        assert got.phonon_numbers.tobytes() == want.phonon_numbers.tobytes()
+        assert got.states == want.states
+        assert got.counters == want.counters
+        assert vars(got.config) == vars(want.config)
+
+
+def member_seeds(cfg, members):
+    return np.random.SeedSequence(cfg.seed).generate_state(members, dtype=np.uint64)
+
+
+def cooling_config(n0, p, eta_sp, tau, gamma, horizon, seed):
+    """A cooling run cut at 10**horizon times its full transient, and within a few thousand draws per member."""
+    transient = (n0 + 1) * (tau / p + 1.0 / (gamma * eta_sp)) if p > 0.0 else tau
+    t_max = 10.0 ** horizon * transient
+    if n0 > 1000 * p:  # many empty intervals: at most a thousand
+        t_max = min(t_max, 1000 * tau)
+    if n0 > 1000 * eta_sp:  # many scatters per transfer: about a thousand
+        t_max = min(t_max, 1000 / gamma)
+    return CycleConfig(gamma=gamma, eta_sp=eta_sp, step_duration_s=tau, t_max_s=t_max, seed=seed,
+                       n_initial=n0, transfer_prob=p)
+
+
+unit = st.floats(1e-6, 1.0)  # (0, 1] down to where a transient is still a finite time
+
+
+@settings(deadline=None)
+@given(n0=st.integers(0, 80), p=st.one_of(st.just(1.0), unit), eta_sp=st.one_of(st.just(1.0), unit),
+       tau=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e), gamma=st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e),
+       horizon=st.floats(-2.0, 0.5), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(1, 40))
+@example(n0=0, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=1, members=5)  # quiescent at once
+@example(n0=20, p=0.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=2, members=5)  # no transfer ever
+@example(n0=35, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.2, seed=3, members=40)  # the simulate default
+@example(n0=20, p=0.3, eta_sp=1.0, tau=1e-3, gamma=11.06, horizon=-0.5, seed=4, members=40)  # cut mid-transient
+@example(n0=20, p=0.6, eta_sp=0.05, tau=1e-3, gamma=11.06, horizon=-0.3, seed=5, members=40)
+def test_parse_kernel_equals_the_event_loop(n0, p, eta_sp, tau, gamma, horizon, seed, members):
+    cfg = cooling_config(n0, p, eta_sp, tau, gamma, horizon, seed)
+    seeds = member_seeds(cfg, members)
+    assert_same(parsed(cfg, seeds), event_loop(cfg, seeds))
+
+
+def test_a_wait_that_lands_on_t_max_stops_the_run():
+    # waits of about 1e-22 s vanish against t, so the third transfer lands on t_max exactly: it is made
+    # (an interval stops the run only when it ends past t_max), and the wait after it, at t_max, stops the run
+    tau = 1e-3
+    cfg = CycleConfig(gamma=1e22, eta_sp=1.0, step_duration_s=tau, t_max_s=tau + tau + tau, seed=10, n_initial=10)
+    seeds = member_seeds(cfg, 5)
+    members = parsed(cfg, seeds)
+    assert_same(members, event_loop(cfg, seeds))
+    for member in members:
+        assert (member.times_s[-1], member.states[-1], member.counters["transfers"]) == (cfg.t_max_s, "D", 3)
+
+
+def test_short_streams_are_drawn_again_and_long_ones_take_the_event_loop(monkeypatch):
+    cfg = cooling_config(30, 0.5, 0.3, 1e-3, 11.06, -0.2, 6)
+    seeds = member_seeds(cfg, 60)
+    want = event_loop(cfg, seeds)
+    passes, looped = [], []
+    parse_pass, event_runs = cooling_parse._parse_pass, cooling_parse._event_runs
+
+    def counted_pass(cfg, u):
+        (size, span), (finished, *rows) = u.shape, parse_pass(cfg, u)
+        passes.append((span - 3, size, int(finished.sum())))
+        return finished, *rows
+
+    def counted_loop(cfg, seeds):
+        looped.append(seeds.size)
+        return event_runs(cfg, seeds)
+
+    # a stream of a fifth of the mean, chunks of 7 members, and no stream over 200 uniforms
+    monkeypatch.setattr(cooling_parse, "STREAM_MARGIN", 0.2)
+    monkeypatch.setattr(cooling_parse, "STREAM_SPARE", 1)
+    monkeypatch.setattr(cooling_parse, "PARSE_MEMBERS", 7)
+    monkeypatch.setattr(cooling_parse, "PARSE_WIDTH", 200)
+    monkeypatch.setattr(cooling_parse, "_parse_pass", counted_pass)
+    monkeypatch.setattr(cooling_parse, "_event_runs", counted_loop)
+    assert_same(simulate_ensemble(cfg, 60), want)
+    widths = sorted({width for width, _, _ in passes})
+    assert len(widths) >= 2 and all(b == 2 * a for a, b in zip(widths, widths[1:]))  # drawn again, twice as long
+    assert max(size for _, size, _ in passes) == 7
+    assert looped and sum(looped) + sum(done for _, _, done in passes) == 60
+
+
+def test_no_heating_is_parsed_and_heating_takes_the_event_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel not expected here")
+
+    cooling = cooling_config(20, 1.0, 0.74, 1e-3, 11.06, 0.0, 7)
+    with monkeypatch.context() as mp:
+        mp.setattr(cooling_sim, "_event_runs", refuse)
+        mp.setattr(cooling_parse, "_event_runs", refuse)
+        simulate_ensemble(cooling, 50)
+    with monkeypatch.context() as mp:
+        mp.setattr(cooling_parse, "parsed_runs", refuse)
+        simulate_ensemble(CycleConfig(gamma=11.06, eta_sp=0.74, step_duration_s=1e-3, t_max_s=0.5, seed=8,
+                                      heating_rate=2.0, n_initial=5), 5)
+
+
+@pytest.mark.parametrize("horizon", [-0.5, 0.3], ids=["cut", "to-ground"])
+def test_trajectory_of_a_member_equals_its_ensemble_row(horizon):
+    members = simulate_ensemble(cooling_config(25, 0.8, 0.5, 1e-3, 11.06, horizon, 9), 30)
+    for member in members[::7]:
+        assert_same([simulate_trajectory(member.config)], [member])
+
+
+@settings(deadline=None)
+@given(t_max=st.floats(5e-324, 1e308), points=st.integers(2, 5000),
+       fractions=st.lists(st.floats(0.0, 1.0), max_size=50))
+@example(t_max=3.0, points=201, fractions=[])
+@example(t_max=1e-310, points=201, fractions=[0.5])  # a subnormal step
+def test_grid_cells_equal_searchsorted(t_max, points, fractions):
+    grid = np.linspace(0.0, t_max, points)
+    # every grid time, the doubles on either side of it, and times in between
+    times = np.concatenate([grid, np.nextafter(grid, -math.inf), np.nextafter(grid, math.inf),
+                            np.array(fractions) * t_max])
+    assert cooling_sim._grid_cells(grid, times).tolist() == np.searchsorted(grid, times).tolist()
