@@ -135,9 +135,10 @@ def markov_steady_state_occupation(
 
 def renewal_slope(gamma: float, eta_sp: float, tau_i: float, transfer_prob: float = 1.0) -> float:
     """Phonons per second removed far from the ground state, where each removal takes tau_I/p of
-    sideband intervals, p the transfer probability, and one wait in D: 1/(tau_I/p + 1/(Gamma eta_SP))."""
+    sideband intervals, p the transfer probability, and one wait in D: 1/(tau_I/p + 1/(Gamma eta_SP)).
+    At p = 0 a removal takes forever: 0, where the product form reads 0/0 once Gamma eta_SP tau_I underflows."""
     ge = gamma * eta_sp
-    return ge * transfer_prob / (transfer_prob + ge * tau_i)
+    return ge * transfer_prob / (transfer_prob + ge * tau_i) if transfer_prob > 0.0 else 0.0
 
 
 # -- the nine criteria ---------------------------------------------------

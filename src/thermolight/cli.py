@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 from dataclasses import fields
 
@@ -537,24 +538,28 @@ def cmd_check(args) -> dict:
 
 
 def main(argv=None) -> int:
-    try:
-        args = _parse_args(argv)
-        report = args.handler(args)
-        if args.command == "check" and not args.json:
-            for r in report["results"]:
-                status = "PASS" if r["passed"] else "FAIL"
-                print(f"{status}  {r['index']}. {r['name']}: {r['detail']}")
-            print("all criteria passed" if report["passed"] else "SOME CRITERIA FAILED")
-        else:
-            _print_report(report, args.json)
-        sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's exit flush
-    except BrokenPipeError:
-        # what is left in stdout's buffer goes to devnull at exit, with no second error
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        # each warning as one line when it is raised, not Python's form with the source line that raised it
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = _parse_args(argv)
+            report = args.handler(args)
+            if args.command == "check" and not args.json:
+                for r in report["results"]:
+                    status = "PASS" if r["passed"] else "FAIL"
+                    print(f"{status}  {r['index']}. {r['name']}: {r['detail']}")
+                print("all criteria passed" if report["passed"] else "SOME CRITERIA FAILED")
+            else:
+                _print_report(report, args.json)
+            sys.stdout.flush()  # a reader that has gone shows here, not in the interpreter's exit flush
+        except BrokenPipeError:
+            # what is left in stdout's buffer goes to devnull at exit, with no second error
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     return 0 if args.command != "check" or report["passed"] else 1
 
 

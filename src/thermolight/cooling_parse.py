@@ -1,8 +1,9 @@
-"""The no-heating kernel of cooling_sim: each member's uniform stream parsed in whole-ensemble passes.
+"""The no-heating kernel of cooling_sim: members' uniform streams parsed in passes over chunks of members.
 
-cooling_sim's docstring gives the grammar that makes this possible and why heated runs cannot use
-it. cooling_sim imports this module on its first run with h = 0, so a process that simulates no
-cooling run never compiles it.
+cooling_sim's docstring gives the grammar that makes this possible and why heated runs cannot use it.
+cooling_sim._simulate places each pass's finished members by index and runs the rest in one event-loop
+call. It imports this module on its first run with h = 0, so a process that simulates no cooling run
+never compiles it.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from array import array
 
 import numpy as np
 
-from .cooling_sim import CycleConfig, _event_runs, _pcg64_states, cycle_rate
+from .cooling_sim import CycleConfig, _pcg64_states, cycle_rate
 
 PARSE_MEMBERS = 128  # members parsed together; a pass holds about 25 bytes per member and drawn uniform
 PARSE_WIDTH = 4096   # the longest stream a parse pass draws; members that need more take the event loop
 STREAM_MARGIN = 1.25  # a parse pass draws this many times a member's expected uniforms, plus STREAM_SPARE
 STREAM_SPARE = 32
-_TAGS = np.frombuffer(b"-SDP", dtype=np.uint8)  # a row's tag by its code in _parse_pass
+_TAGS = bytes.maketrans(b"\1\2\3", b"SDP")  # a row's tag by its code in _parse_pass
 
 
 def _stream_width(cfg: CycleConfig) -> int:
@@ -33,17 +34,16 @@ def _stream_width(cfg: CycleConfig) -> int:
     return int(min(STREAM_MARGIN * mean, 2 * PARSE_WIDTH)) + STREAM_SPARE
 
 
-def _streams(rng: np.random.Generator, seeds: np.ndarray, width: int) -> np.ndarray:
+def _streams(seeds: np.ndarray, width: int) -> np.ndarray:
     """Each seed's first `width` uniforms, in columns 1 to width of its row.
 
     Column 0 stands for the member's t = 0 row and columns width + 1 and width + 2 for the stream's
     end; they hold 2.0, which passes no Bernoulli.
     """
     u = np.full((seeds.size, width + 3), 2.0)
-    bit_generator = rng.bit_generator
-    for row, (state, inc) in zip(u, _pcg64_states(seeds)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(np.random.PCG64(0))
+    for row, state in zip(u, _pcg64_states(seeds)):
+        rng.bit_generator.state = state
         rng.random(out=row[1:width + 1])
     return u
 
@@ -56,8 +56,8 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
     branching draw B until some B has u < eta_SP. T moves the clock by tau_I, W by -log1p(-u)/Gamma
     (math.log1p, as the event loop: numpy's SIMD log1p rounds differently), B not at all; the
     running sum along a row adds them in the event loop's order, so the times are its times bit for
-    bit. Returns whether each member's run ended within its stream, and the finished members' rows
-    and counters as _event_runs lays them out. Spends u.
+    bit. Returns whether each member's run ended within its stream, and the finished members' runs
+    as _event_runs lays them out (times, n, tags, end rows, counters). Spends u.
     """
     (m, span), k = u.shape, u.shape[1] - 3
     n0, p, eta_sp = cfg.n_initial, cfg.transfer_prob, cfg.eta_sp
@@ -155,39 +155,28 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
                  "heating_events": 0, "stop_reason": "t_max" if late else "quiescent"}
                 for c, t, s, late in zip(intervals[finished].tolist(), transfers[finished].tolist(), sizes.tolist(),
                                          timed_out[finished].tolist())]
-    return finished, sizes, times.ravel()[rows], n0 - np.cumsum(down), _TAGS[code], counters
+    tags = code.tobytes().translate(_TAGS).decode("ascii")
+    return finished, times.ravel()[rows], n0 - np.cumsum(down), tags, np.cumsum(sizes).tolist(), counters
 
 
 def parsed_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
     """The h = 0 runs of _event_runs, bit for bit, from _parse_pass over PARSE_MEMBERS members at a time.
 
-    A member whose stream ends before its run does is drawn again with twice the width; past
-    PARSE_WIDTH uniforms it takes the event loop, which holds no stream in memory.
+    Returns (parts, pending): parts holds, per pass, the indices of the members it finished and their
+    runs as _event_runs lays them out; pending holds the members left to the event loop. A member
+    whose stream ends before its run does is drawn again with twice the width; past PARSE_WIDTH
+    uniforms it is pending, as is every member of a run quiescent at t = 0.
     """
-    count = seeds.size
+    pending = np.arange(seeds.size)
     if cfg.n_initial == 0 or cfg.transfer_prob == 0.0:  # quiescent at t = 0: the event loop draws nothing either
-        return _event_runs(cfg, seeds)
-    parts = []  # (members, sizes, times, n, tags, counters)
-    rng = np.random.Generator(np.random.PCG64(0))
-    pending, width = np.arange(count), _stream_width(cfg)
+        return [], pending
+    parts, width = [], _stream_width(cfg)
     while pending.size and width <= PARSE_WIDTH:
         short = []
         for lo in range(0, pending.size, PARSE_MEMBERS):
             members = pending[lo:lo + PARSE_MEMBERS]
-            finished, *rows = _parse_pass(cfg, _streams(rng, seeds[members], width))
-            parts.append((members[finished], *rows))
+            finished, *runs = _parse_pass(cfg, _streams(seeds[members], width))
+            parts.append((members[finished], runs))
             short.append(members[~finished])
         pending, width = np.concatenate(short), 2 * width
-    if pending.size:
-        times, numbers, tags, ends, counters = _event_runs(cfg, seeds[pending])
-        parts.append((pending, np.diff(ends, prepend=0), times, numbers,
-                      np.frombuffer("".join(tags).encode(), dtype=np.uint8), counters))
-
-    members, sizes, times, numbers, tags = (np.concatenate([part[i] for part in parts]) for i in range(5))
-    counters = [c for part in parts for c in part[5]]
-    if np.any(members[1:] < members[:-1]):  # a member drawn again: put the rows back in member order
-        rows = np.argsort(np.repeat(members, sizes), kind="stable")
-        times, numbers, tags = times[rows], numbers[rows], tags[rows]
-        order = np.argsort(members, kind="stable")
-        sizes, counters = sizes[order], [counters[i] for i in order.tolist()]
-    return times, numbers, tags.tobytes().decode("ascii"), np.cumsum(sizes).tolist(), counters
+    return parts, pending

@@ -173,7 +173,7 @@ def _hashmix(words: np.ndarray, pair) -> np.ndarray:
 
 
 def _pcg64_states(seeds: np.ndarray) -> list:
-    """PCG64's (state, inc) for each uint64 seed, bit for bit as np.random.default_rng(seed) sets them.
+    """PCG64's state dict for each uint64 seed, bit for bit as np.random.default_rng(seed) sets it.
 
     default_rng(seed) hashes the seed's low and high 32-bit words (the high one is 0 below 2**32,
     like the padding SeedSequence uses then) into a pool of four words, mixes the pool, draws four
@@ -196,7 +196,8 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     states = []
     for s0, s1, s2, s3 in zip(*quads):
         inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        states.append(((((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128, inc))
+        state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0})
     return states
 
 
@@ -216,9 +217,8 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
     put_t, put_n, put_tag = times.append, numbers.append, tags.append
     ends, runs = [], []
 
-    for state, inc in _pcg64_states(seeds):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
+    for state in _pcg64_states(seeds):
+        bit_generator.state = state
         uniform = _uniforms(rng).__next__
         t = 0.0
         n = cfg.n_initial
@@ -308,33 +308,32 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
 def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
     """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
 
-    Runs with no heating are parsed in whole-ensemble passes (cooling_parse.parsed_runs); heated
-    runs take the event loop (_event_runs). All members' rows lie in one buffer per column; each
-    member holds read-only views of its own rows.
+    Runs with no heating are parsed in passes over chunks of members (cooling_parse.parsed_runs);
+    heated runs, and the members a parse leaves, take one call of the event loop (_event_runs).
+    Each member holds read-only views of the buffers of the pass that ran it.
     """
-    if cfg.heating_rate > 0.0:
-        return _members(cfg, seeds, *_event_runs(cfg, seeds))
-    from .cooling_parse import parsed_runs  # compiled on the first run with no heating only
-    return _members(cfg, seeds, *parsed_runs(cfg, seeds))
-
-
-def _members(cfg: CycleConfig, seeds: np.ndarray, times, numbers, tags, ends, counters) -> list:
-    """The trajectory objects of runs laid out as _event_runs returns them."""
-    times.setflags(write=False)
-    numbers.setflags(write=False)
-    cls, fields = type(cfg), vars(cfg)
-    trajectories = []
-    start = 0
-    for seed, end, counted in zip(seeds.tolist(), ends, counters):
-        # each member copies cfg's validated fields; its seed, a uint64 word, is in range too
-        member = object.__new__(cls)
-        member.__dict__.update(fields, seed=seed)
-        # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
-        traj = object.__new__(CoolingTrajectory)
-        traj.__dict__.update(times_s=times[start:end], phonon_numbers=numbers[start:end],
-                             states=tuple(tags[start:end]), config=member, counters=counted)
-        trajectories.append(traj)
-        start = end
+    parts, pending = [], np.arange(seeds.size)
+    if cfg.heating_rate == 0.0:
+        from .cooling_parse import parsed_runs  # compiled on the first run with no heating only
+        parts, pending = parsed_runs(cfg, seeds)
+    if pending.size:
+        parts.append((pending, _event_runs(cfg, seeds[pending])))
+    cls, fields, seeds = type(cfg), vars(cfg), seeds.tolist()
+    trajectories = [None] * len(seeds)
+    for members, (times, numbers, tags, ends, counters) in parts:
+        times.setflags(write=False)
+        numbers.setflags(write=False)
+        start = 0
+        for index, end, counted in zip(members.tolist(), ends, counters):
+            # each member copies cfg's validated fields; its seed, a uint64 word, is in range too
+            member = object.__new__(cls)
+            member.__dict__.update(fields, seed=seeds[index])
+            # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
+            traj = object.__new__(CoolingTrajectory)
+            traj.__dict__.update(times_s=times[start:end], phonon_numbers=numbers[start:end],
+                                 states=tuple(tags[start:end]), config=member, counters=counted)
+            trajectories[index] = traj
+            start = end
     return trajectories
 
 
@@ -363,8 +362,8 @@ def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
 
     Seeds come from numpy's SeedSequence state expansion; each member
     re-runs bit for bit from the config recorded on it, through
-    simulate_trajectory. The members' arrays are read-only views of one
-    buffer per column.
+    simulate_trajectory. The members' arrays are read-only views of the
+    buffers of the pass that simulated them.
     """
     n = int_value("n_trajectories", n_trajectories, 1)
     return _simulate(cfg, np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64))

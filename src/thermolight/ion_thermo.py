@@ -12,7 +12,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 from .constants import C, HBAR
@@ -79,31 +79,20 @@ class IonSpec:
 
     # -- JSON schema mapping --------------------------------------------
 
-    _SCHEMA = {
-        "name": "name",
-        "omega1_rad_s": "omega1_rad_s",
-        "omega2_rad_s": "omega2_rad_s",
-        "omega3_rad_s": "omega3_rad_s",
-        "A_PS_s": "a_ps_s",
-        "A_PD_s": "a_pd_s",
-        "A_PD_driven_s": "a_pd_driven_s",
-        "g_e": "g_e",
-        "g_g": "g_g",
-        "references": "references",
-    }
+    _JSON_KEYS = {"a_ps_s": "A_PS_s", "a_pd_s": "A_PD_s", "a_pd_driven_s": "A_PD_driven_s"}  # the others: field names
 
     @classmethod
     def from_dict(cls, d: dict) -> "IonSpec":
         if not isinstance(d, dict):
             raise ValueError(f"atomic data must be a JSON object, got {type(d).__name__}")
-        unknown = set(d) - set(cls._SCHEMA)
+        keys = {cls._JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        unknown = set(d) - set(keys)
         if unknown:
             raise ValueError(f"unknown atomic-data keys: {sorted(unknown)}")
-        required = {"name", "omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "A_PS_s", "A_PD_s", "g_e", "g_g"}
-        missing = required - set(d)
+        missing = {key for key, f in keys.items() if f.default is MISSING} - set(d)
         if missing:
             raise ValueError(f"missing atomic-data keys: {sorted(missing)}")
-        return cls(**{cls._SCHEMA[k]: v for k, v in d.items()})
+        return cls(**{keys[k].name: v for k, v in d.items()})
 
     @classmethod
     def from_json_file(cls, path) -> "IonSpec":

@@ -1,6 +1,7 @@
 """Stochastic cooling-cycle simulator against its analytic oracles."""
 
 import math
+from collections import defaultdict
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from thermolight import (
     simulate_trajectory,
 )
 from thermolight.acceptance import markov_steady_state_occupation, renewal_slope
-from thermolight import cooling_sim
+from thermolight import cooling_parse, cooling_sim
 from thermolight.cooling_sim import ensemble_counters
 
 BASE = CycleConfig(
@@ -205,6 +206,7 @@ def test_no_transfer_has_no_cycle_rate(n0):
     cfg = CycleConfig(gamma=1e-200, eta_sp=0.5, step_duration_s=1e-200, t_max_s=1, seed=1, transfer_prob=0,
                       n_initial=n0)
     assert cycle_rate(cfg) == 0.0
+    assert renewal_slope(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob) == 0.0
     stats = ensemble_stats(simulate_ensemble(cfg, 4))
     assert stats.slope_window_s[0] == 0.0 and abs(stats.slope_per_s) < 1e-12 and np.all(stats.mean_n == n0)
     assert np.all(rate_equation_trajectory(cfg).n == n0)
@@ -424,8 +426,8 @@ def test_member_seeding_equals_default_rng(monkeypatch):
     seeds = np.random.SeedSequence(20261019).generate_state(1000, dtype=np.uint64).tolist() + EDGE_SEEDS
     states = cooling_sim._pcg64_states(np.array(seeds, dtype=np.uint64))
     assert len(states) == len(seeds)
-    for seed, (state, inc) in zip(seeds, states):
-        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+    for seed, state in zip(seeds, states):
+        assert np.random.PCG64(seed).state == state, seed
     # each member's stream starts where its own default_rng(seed) would, buffered bits included
     started = []
     uniforms = cooling_sim._uniforms
@@ -435,15 +437,30 @@ def test_member_seeding_equals_default_rng(monkeypatch):
     assert [traj.config.seed for traj in members] == EDGE_SEEDS
 
 
-def test_members_hold_read_only_views_of_one_buffer():
-    members = simulate_ensemble(replace(HEATED, t_max_s=0.5), 6) + [simulate_trajectory(HEATED)]
-    for traj in members:
-        for values, dtype in ((traj.times_s, np.float64), (traj.phonon_numbers, np.int64)):
-            assert values.dtype == dtype and not values.flags.writeable
-            with pytest.raises(ValueError):
-                values[0] = 1
-    assert len({id(traj.times_s.base) for traj in members[:-1]}) == 1
-    assert sum(traj.times_s.size for traj in members[:-1]) == members[0].times_s.base.size
+def test_members_hold_read_only_views_of_the_buffers_of_their_pass(monkeypatch):
+    def passes(members):
+        """The members grouped by the buffers their rows are views of; each group fills its buffers."""
+        groups = defaultdict(list)
+        for traj in members:
+            for values, dtype in ((traj.times_s, np.float64), (traj.phonon_numbers, np.int64)):
+                assert values.dtype == dtype and not values.flags.writeable
+                with pytest.raises(ValueError):
+                    values[0] = 1
+            groups[id(traj.times_s.base), id(traj.phonon_numbers.base)].append(traj)
+        for group in groups.values():
+            assert sum(traj.times_s.size for traj in group) == group[0].times_s.base.size
+            assert group[0].times_s.base.size == group[0].phonon_numbers.base.size
+        return len(groups)
+
+    assert passes([simulate_trajectory(HEATED)]) == 1
+    assert passes(simulate_ensemble(replace(HEATED, t_max_s=0.5), 6)) == 1  # one event-loop call
+    # chunks of 7, streams of a fifth of the mean drawn again, none over 200 uniforms: the event loop takes the rest
+    for name, value in (("STREAM_MARGIN", 0.2), ("STREAM_SPARE", 1), ("PARSE_MEMBERS", 7), ("PARSE_WIDTH", 200)):
+        monkeypatch.setattr(cooling_parse, name, value)
+    event_runs, looped = cooling_sim._event_runs, []
+    monkeypatch.setattr(cooling_sim, "_event_runs", lambda cfg, seeds: looped.append(seeds) or event_runs(cfg, seeds))
+    cooling = replace(BASE, eta_sp=0.3, transfer_prob=0.5, n_initial=30, t_max_s=6.0)
+    assert passes(simulate_ensemble(cooling, 60)) > 60 // 7 + 1 and len(looped) == 1
 
 
 def reference_stats(trajectories, grid_points=201):

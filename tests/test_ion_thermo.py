@@ -56,12 +56,16 @@ def test_ion_spec_round_trip_and_schema(tmp_path):
     path = tmp_path / "custom.json"
     path.write_text(json.dumps(d))
     assert load_ion(str(path)) == ion
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown atomic-data keys: \['surprise_key'\]$"):
         IonSpec.from_dict({**d, "surprise_key": 1.0})
     missing = dict(d)
     missing.pop("A_PS_s")
-    with pytest.raises(ValueError):
+    missing.pop("g_g")
+    with pytest.raises(ValueError, match=r"^missing atomic-data keys: \['A_PS_s', 'g_g'\]$"):
         IonSpec.from_dict(missing)
+    # the keys of fields with a default may be left out
+    bare = IonSpec.from_dict({k: v for k, v in d.items() if k not in ("A_PD_driven_s", "references")})
+    assert (bare.a_pd_driven_s, bare.references, bare.a_pd_s) == (None, (), ion.a_pd_s)
     broken = dict(d)
     broken["omega3_rad_s"] = d["omega3_rad_s"] * 1.01  # closure violated
     with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
 """The no-heating kernel (cooling_parse) against the event loop, bit for bit; grid cells against np.searchsorted.
 
-The event loop (`_event_runs`) is the reference: every trajectory the parse
-kernel returns must equal it in times, phonon numbers, tags, counters and
-member config. Run with `--hypothesis-profile=ci` to explore many more
-configs than the default profile does.
+The event loop (`_event_runs`) is the reference: the members an ensemble
+returns, their rows laid end to end in member order, must equal its buffers
+byte for byte, and their counters and configs must equal its counters and
+the members' configs. Run with `--hypothesis-profile=ci` to explore many
+more configs than the default profile does.
 """
 
 import math
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -17,22 +19,19 @@ from thermolight import CycleConfig, simulate_ensemble, simulate_trajectory
 from thermolight import cooling_parse, cooling_sim
 
 
+def laid_end_to_end(members):
+    """Members' rows end to end, their end rows, counters and configs, laid out as event_loop returns them."""
+    return (np.concatenate([m.times_s for m in members]).tobytes(),
+            np.concatenate([m.phonon_numbers for m in members]).tobytes(),
+            "".join(chain.from_iterable(m.states for m in members)),
+            np.cumsum([m.times_s.size for m in members]).tolist(),
+            [m.counters for m in members], [vars(m.config) for m in members])
+
+
 def event_loop(cfg, seeds):
-    return cooling_sim._members(cfg, seeds, *cooling_sim._event_runs(cfg, seeds))
-
-
-def parsed(cfg, seeds):
-    return cooling_sim._members(cfg, seeds, *cooling_parse.parsed_runs(cfg, seeds))
-
-
-def assert_same(members, reference):
-    assert len(members) == len(reference)
-    for got, want in zip(members, reference):
-        assert got.times_s.tobytes() == want.times_s.tobytes()
-        assert got.phonon_numbers.tobytes() == want.phonon_numbers.tobytes()
-        assert got.states == want.states
-        assert got.counters == want.counters
-        assert vars(got.config) == vars(want.config)
+    times, numbers, tags, ends, counters = cooling_sim._event_runs(cfg, seeds)
+    return (times.tobytes(), numbers.tobytes(), "".join(tags), ends, counters,
+            [dict(vars(cfg), seed=seed) for seed in seeds.tolist()])
 
 
 def member_seeds(cfg, members):
@@ -57,16 +56,30 @@ unit = st.floats(1e-6, 1.0)  # (0, 1] down to where a transient is still a finit
 @settings(deadline=None)
 @given(n0=st.integers(0, 80), p=st.one_of(st.just(1.0), unit), eta_sp=st.one_of(st.just(1.0), unit),
        tau=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e), gamma=st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e),
-       horizon=st.floats(-2.0, 0.5), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(1, 40))
-@example(n0=0, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=1, members=5)  # quiescent at once
-@example(n0=20, p=0.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=2, members=5)  # no transfer ever
-@example(n0=35, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.2, seed=3, members=40)  # the simulate default
-@example(n0=20, p=0.3, eta_sp=1.0, tau=1e-3, gamma=11.06, horizon=-0.5, seed=4, members=40)  # cut mid-transient
-@example(n0=20, p=0.6, eta_sp=0.05, tau=1e-3, gamma=11.06, horizon=-0.3, seed=5, members=40)
-def test_parse_kernel_equals_the_event_loop(n0, p, eta_sp, tau, gamma, horizon, seed, members):
+       horizon=st.floats(-2.0, 0.5), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(1, 40),
+       chunk=st.integers(1, 8), margin=st.floats(0.2, 1.25), widest=st.one_of(st.just(4096), st.integers(32, 1024)))
+@example(n0=0, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=1, members=5, chunk=8,
+         margin=1.25, widest=4096)  # quiescent at once
+@example(n0=20, p=0.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=2, members=5, chunk=8,
+         margin=1.25, widest=4096)  # no transfer ever
+@example(n0=35, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.2, seed=3, members=40, chunk=8,
+         margin=1.25, widest=4096)  # the simulate default
+@example(n0=20, p=0.3, eta_sp=1.0, tau=1e-3, gamma=11.06, horizon=-0.5, seed=4, members=40, chunk=3,
+         margin=1.25, widest=4096)  # cut mid-transient
+@example(n0=20, p=0.6, eta_sp=0.05, tau=1e-3, gamma=11.06, horizon=-0.3, seed=5, members=40, chunk=5,
+         margin=0.2, widest=4096)  # drawn again, several times
+@example(n0=80, p=1e-3, eta_sp=1e-3, tau=1e-3, gamma=10.0, horizon=0.5, seed=6, members=12, chunk=4,
+         margin=0.2, widest=1000)  # the longest streams take the event loop
+def test_parse_kernel_equals_the_event_loop(n0, p, eta_sp, tau, gamma, horizon, seed, members, chunk, margin,
+                                            widest):
     cfg = cooling_config(n0, p, eta_sp, tau, gamma, horizon, seed)
     seeds = member_seeds(cfg, members)
-    assert_same(parsed(cfg, seeds), event_loop(cfg, seeds))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cooling_parse, "PARSE_MEMBERS", chunk)
+        mp.setattr(cooling_parse, "STREAM_MARGIN", margin)
+        mp.setattr(cooling_parse, "PARSE_WIDTH", widest)
+        got = laid_end_to_end(cooling_sim._simulate(cfg, seeds))
+    assert got == event_loop(cfg, seeds)
 
 
 def test_a_wait_that_lands_on_t_max_stops_the_run():
@@ -75,8 +88,8 @@ def test_a_wait_that_lands_on_t_max_stops_the_run():
     tau = 1e-3
     cfg = CycleConfig(gamma=1e22, eta_sp=1.0, step_duration_s=tau, t_max_s=tau + tau + tau, seed=10, n_initial=10)
     seeds = member_seeds(cfg, 5)
-    members = parsed(cfg, seeds)
-    assert_same(members, event_loop(cfg, seeds))
+    members = cooling_sim._simulate(cfg, seeds)
+    assert laid_end_to_end(members) == event_loop(cfg, seeds)
     for member in members:
         assert (member.times_s[-1], member.states[-1], member.counters["transfers"]) == (cfg.t_max_s, "D", 3)
 
@@ -86,7 +99,7 @@ def test_short_streams_are_drawn_again_and_long_ones_take_the_event_loop(monkeyp
     seeds = member_seeds(cfg, 60)
     want = event_loop(cfg, seeds)
     passes, looped = [], []
-    parse_pass, event_runs = cooling_parse._parse_pass, cooling_parse._event_runs
+    parse_pass, event_runs = cooling_parse._parse_pass, cooling_sim._event_runs
 
     def counted_pass(cfg, u):
         (size, span), (finished, *rows) = u.shape, parse_pass(cfg, u)
@@ -103,12 +116,12 @@ def test_short_streams_are_drawn_again_and_long_ones_take_the_event_loop(monkeyp
     monkeypatch.setattr(cooling_parse, "PARSE_MEMBERS", 7)
     monkeypatch.setattr(cooling_parse, "PARSE_WIDTH", 200)
     monkeypatch.setattr(cooling_parse, "_parse_pass", counted_pass)
-    monkeypatch.setattr(cooling_parse, "_event_runs", counted_loop)
-    assert_same(simulate_ensemble(cfg, 60), want)
+    monkeypatch.setattr(cooling_sim, "_event_runs", counted_loop)
+    assert laid_end_to_end(simulate_ensemble(cfg, 60)) == want
     widths = sorted({width for width, _, _ in passes})
     assert len(widths) >= 2 and all(b == 2 * a for a, b in zip(widths, widths[1:]))  # drawn again, twice as long
     assert max(size for _, size, _ in passes) == 7
-    assert looped and sum(looped) + sum(done for _, _, done in passes) == 60
+    assert len(looped) == 1 and looped[0] + sum(done for _, _, done in passes) == 60  # one event-loop call
 
 
 def test_no_heating_is_parsed_and_heating_takes_the_event_loop(monkeypatch):
@@ -118,7 +131,6 @@ def test_no_heating_is_parsed_and_heating_takes_the_event_loop(monkeypatch):
     cooling = cooling_config(20, 1.0, 0.74, 1e-3, 11.06, 0.0, 7)
     with monkeypatch.context() as mp:
         mp.setattr(cooling_sim, "_event_runs", refuse)
-        mp.setattr(cooling_parse, "_event_runs", refuse)
         simulate_ensemble(cooling, 50)
     with monkeypatch.context() as mp:
         mp.setattr(cooling_parse, "parsed_runs", refuse)
@@ -130,7 +142,7 @@ def test_no_heating_is_parsed_and_heating_takes_the_event_loop(monkeypatch):
 def test_trajectory_of_a_member_equals_its_ensemble_row(horizon):
     members = simulate_ensemble(cooling_config(25, 0.8, 0.5, 1e-3, 11.06, horizon, 9), 30)
     for member in members[::7]:
-        assert_same([simulate_trajectory(member.config)], [member])
+        assert laid_end_to_end([simulate_trajectory(member.config)]) == laid_end_to_end([member])
 
 
 @settings(deadline=None)
