@@ -278,11 +278,17 @@ _SPECTRA = {
 }
 
 
+def _band_flag(band_nm, lo: float = 0.0, hi: float = math.inf, open_lo: bool = True) -> tuple:
+    """--band-nm's two bounds, each checked by real_value in the given interval, and in increasing order."""
+    lo_nm, hi_nm = (real_value("--band-nm", v, lo, hi, open_lo=open_lo) for v in band_nm)
+    if not lo_nm < hi_nm:
+        raise ValueError(f"--band-nm must satisfy lo < hi, got [{lo_nm!r}, {hi_nm!r}]")
+    return lo_nm, hi_nm
+
+
 def cmd_spectrum(args) -> dict:
     _require(args, "temperature_k", "family", "domain")
-    lo, hi = (real_value("--band-nm", v, *DENSITY_BAND_NM, open_lo=False) for v in args.band_nm)
-    if not lo < hi:
-        raise ValueError(f"--band-nm must satisfy lo < hi, got [{lo!r}, {hi!r}]")
+    lo, hi = _band_flag(args.band_nm, *DENSITY_BAND_NM, open_lo=False)
     if not 2 <= args.points <= MAX_GRID_POINTS:
         raise ValueError(f"--points must be in [2, {MAX_GRID_POINTS}], got {args.points}")
     t = Temperature(real_value("--temperature-k", args.temperature_k))
@@ -368,8 +374,9 @@ def cmd_rate(args) -> dict:
 def cmd_virtual_temp(args) -> dict:
     _require(args, "ion", "t_room_k", "t_sun_k", "motion_hz")
     ion = load_ion(args.ion)
-    baths = BathSet(args.t_laser_k, Temperature(args.t_sun_k), Temperature(args.t_room_k))
-    wm = AngularFrequency(2.0 * math.pi * args.motion_hz)
+    t_sun = Temperature(real_value("--t-sun-k", args.t_sun_k))
+    baths = BathSet(args.t_laser_k, t_sun, Temperature(real_value("--t-room-k", args.t_room_k)))
+    wm = AngularFrequency(2.0 * math.pi * real_value("--motion-hz", args.motion_hz))
     t_v = virtual_temperature(ion, baths, wm)
     t_room_limit = virtual_temperature_room_limit(ion, baths.t_room, wm)
     all_thermal = virtual_temperature(
@@ -487,8 +494,14 @@ def cmd_simulate(args) -> dict:
 
 def cmd_reduce(args) -> dict:
     _require(args, "raw", "response", "power_w", "temperature_k")
-    band = tuple(args.band_nm)
+    band = _band_flag(args.band_nm)
     t = Temperature(real_value("--temperature-k", args.temperature_k))
+    power_w = real_value("--power-w", args.power_w)
+    slit = SlitGeometry(
+        slit_width_m=real_value("--slit-um", args.slit_um) * 1e-6,
+        distance_m=real_value("--distance-mm", args.distance_mm) * 1e-3,
+        mode_field_radius_m=real_value("--mode-field-radius-um", args.mode_field_radius_um) * 1e-6,
+    )
     raw = read_spectrum_csv(args.raw)
     response = InstrumentResponse.from_csv(args.response)
     reference = (
@@ -496,14 +509,9 @@ def cmd_reduce(args) -> dict:
         if args.reference is None
         else ReferenceSolarSpectrum.from_csv(args.reference)
     )
-    slit = SlitGeometry(
-        slit_width_m=args.slit_um * 1e-6,
-        distance_m=args.distance_mm * 1e-3,
-        mode_field_radius_m=args.mode_field_radius_um * 1e-6,
-    )
     correction = atmospheric_correction(reference, t)
     calibrated, efficiency, fit = reduce_spectrum(
-        raw, response, slit, args.power_w, band, correction, model=args.fit_model
+        raw, response, slit, power_w, band, correction, model=args.fit_model
     )
 
     files = {name: _out_path(args, f"{name}.csv") for name in ("calibrated_psd", "efficiency")}

@@ -11,7 +11,6 @@ H = 6.626_070_15e-34        # Planck constant, J s (exact)
 HBAR = H / (2.0 * math.pi)  # reduced Planck constant, J s
 K_B = 1.380_649e-23         # Boltzmann constant, J/K (exact)
 
-HC = H * C                  # J m
 TWO_PI_C = 2.0 * math.pi * C  # rad m/s, omega = TWO_PI_C / lambda
 
 NM = 1e-9                   # m per nm

@@ -589,7 +589,9 @@ def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCu
             dc = (n - n0) / c
             y = a * dc
             # ln(1 + y) from the ratio: a d/c rounds to -1 once n << n0
-            g = np.where(abs(y) < 0.01, np.polyval(series, y), (np.log((a * n + b) / c) - y) / (y * y))
+            g = (np.log((a * n + b) / c) - y) / (y * y)
+            small = abs(y) < 0.01
+            g[small] = np.polyval(series, y[small])
             t = dc * (n0 + 0.5) - 0.5 * r * dc * dc * g
             below = t <= clock if cooling else ~(t < clock)  # n at the grid time is at most mid
             hi = np.where(below, mid, hi)

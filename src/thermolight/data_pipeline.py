@@ -28,6 +28,7 @@ from .radiometry import (
     q1d_psd_per_wavelength,
     q1d_psd_per_wavelength_on_grid,
     real_value,
+    real_values,
 )
 from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_columns
 
@@ -81,7 +82,7 @@ class SlitGeometry:
 
 def beam_radius_at_slit(geometry: SlitGeometry, wavelength_nm: float) -> float:
     """Gaussian beam 1/e^2 radius after propagating the fiber-to-slit distance."""
-    lam = np.asarray(wavelength_nm, dtype=float) * NM
+    lam = real_values("wavelength_nm", wavelength_nm) * NM
     wf = geometry.mode_field_radius_m
     spread = lam * geometry.distance_m / (math.pi * wf ** 2)
     return wf * np.sqrt(1.0 + spread ** 2)
@@ -203,7 +204,9 @@ def calibrate_power(spectrum: SampledSpectrum, measured_power_w: float, band_nm:
         raise ValueError("convert per-angular-frequency input to a per-wavelength kind first")
     lo, hi = band_nm
     wl = spectrum.wavelengths_nm
-    if not (lo < hi) or lo < wl[0] or hi > wl[-1]:
+    if not lo < hi:
+        raise ValueError(f"band must satisfy lo < hi, got {band_nm!r}")
+    if lo < wl[0] or hi > wl[-1]:
         raise ValueError(f"band {band_nm!r} not contained in the sampled grid [{wl[0]}, {wl[-1]}] nm")
     shape = SampledSpectrum(wl, spectrum.values, SpectrumKind.PSD_PER_WAVELENGTH)
     integral = shape.band_power(band_nm)

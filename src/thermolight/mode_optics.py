@@ -50,7 +50,7 @@ class FiberModeModel:
                  for name in names if getattr(self, name) is not None]
         if stray:
             raise ValueError(f"regime {self.regime!r} takes no {', '.join(stray)}")
-        if np.ndim(self.band_nm) != 1:
+        if np.ndim(np.asarray(self.band_nm, dtype=object)) != 1:  # an array among the bounds is one element
             raise ValueError(f"band_nm must be a list of numbers, got {self.band_nm!r}")
         band = tuple(real_value("band_nm", v) for v in self.band_nm)
         if len(band) != 2 or not band[0] < band[1]:

@@ -3,8 +3,9 @@
 Conventions: angular frequency omega in rad/s throughout; spectral
 densities per angular frequency unless a name says per_wavelength.
 The quasi-1D power spectral density defaults to two polarizations.
-The spectral functions take a scalar (and return a float) or an array of
-frequencies or wavelengths (and return an array); temperature is scalar.
+The spectral functions take a scalar (and return a float) or an array (and
+return an array) of frequencies or wavelengths, each element checked as a
+scalar is (see real_values); temperature is scalar.
 """
 
 from __future__ import annotations
@@ -57,6 +58,27 @@ def real_value(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo:
         pass
     interval = f"{'(' if open_lo else '['}{lo:g}, {hi:g}{']' if hi < math.inf else ')'}"
     raise ValueError(f"{label} must be a finite real in {interval}, got {v!r}")
+
+
+def real_values(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo: bool = True):
+    """real_value for a scalar; an array, as float64 and uncopied if it is float64, if each element passes real_value.
+
+    An array of bools, complex numbers, strings or objects fails whatever it holds. A refusal names the
+    first element that fails as label[i], i its index in C order.
+    """
+    if not np.ndim(v):
+        return real_value(label, v, lo, hi, open_lo=open_lo)
+    a = np.asarray(v)
+    if a.dtype.kind in "fiu":
+        a = a.astype(float, copy=False)
+        bad = ~(np.isfinite(a) & (a > lo if open_lo else a >= lo) & (a <= hi))
+    else:
+        bad = np.ones(a.shape, dtype=bool)
+    if bad.any():
+        i = int(bad.argmax())
+        real_value(f"{label}[{i}]", a.item(i), lo, hi, open_lo=open_lo)  # raises, unless an object holds a real
+        raise ValueError(f"{label} must be an array of real numbers, got one of dtype {a.dtype}")
+    return a.astype(float, copy=False)
 
 
 def int_value(label: str, v, lo: int = 0, hi: "int | float" = math.inf) -> int:
@@ -119,20 +141,9 @@ class AngularFrequency:
         return self.wavelength_m / NM
 
 
-def _positive_array(values, what: str) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(a) & (a > 0.0)):
-        raise ValueError(f"{what} must be finite and positive")
-    return a
-
-
-def omega_value(omega: "AngularFrequency | float | np.ndarray"):
-    """Validated rad/s: a float for an AngularFrequency or a number, a float array for an array."""
-    if isinstance(omega, AngularFrequency):
-        return omega.rad_per_s
-    if np.ndim(omega):
-        return _positive_array(omega, "angular frequencies")
-    return AngularFrequency(omega).rad_per_s
+def omega_value(omega: "AngularFrequency | float") -> float:
+    """Validated rad/s of an AngularFrequency or a number."""
+    return omega.rad_per_s if isinstance(omega, AngularFrequency) else AngularFrequency(omega).rad_per_s
 
 
 def as_temperature(t: "Temperature | float") -> Temperature:
@@ -144,23 +155,32 @@ def domega_dlambda(wavelength_nm):
     return TWO_PI_C / (wavelength_nm * NM) ** 2 * NM
 
 
-def _wavelength_and_omega(wavelength_nm, band: tuple):
-    """Wavelength(s) in nm, each refused outside the closed band, and the matching omega in rad/s."""
-    lo, hi = band
-    if np.ndim(wavelength_nm):
-        lam = np.asarray(wavelength_nm, dtype=float)
-        if not np.all((lam >= lo) & (lam <= hi)):  # NaN fails both
-            raise ValueError(f"wavelengths must lie in [{lo:g}, {hi:g}] nm")
-        return lam, TWO_PI_C / (lam * NM)
-    lam = real_value("wavelength_nm", wavelength_nm, lo, hi, open_lo=False)
-    return lam, AngularFrequency.from_wavelength_nm(lam).rad_per_s
+def _omegas(omega, hi: float = math.inf):
+    """Validated rad/s at most hi: an AngularFrequency's, or a number's or an array's through real_values."""
+    return real_values("omega", omega.rad_per_s if isinstance(omega, AngularFrequency) else omega, hi=hi)
 
 
-def _bose(x):
-    """1/(e^x - 1) elementwise for x >= 0, with overflow guard; inf at x == 0."""
-    with np.errstate(divide="ignore", over="ignore"):
-        n = np.where(x > _EXP_CUT, np.exp(-x), 1.0 / np.expm1(x))
-    return n if np.ndim(x) else float(n)
+def _omega_and_jacobian(wavelength_nm, band: tuple):
+    """omega in rad/s and |d omega / d lambda| in rad/s per nm at wavelengths refused outside the closed band."""
+    lam = real_values("wavelength_nm", wavelength_nm, *band, open_lo=False)
+    return TWO_PI_C / (lam * NM), domega_dlambda(lam)
+
+
+def _kernel(w, prefactor, scale: float = 1.0, jac=1.0, floor: float = 0.0):
+    """beta = 1/(k_B T) -> max(scale * (prefactor * n), floor) * jac, n = 1/(e^x - 1) at x = hbar w beta.
+
+    n is e^-x past _EXP_CUT, where e^x would overflow, and inf at x = 0. The caller validates w and
+    computes the grid factors, once; a scalar w gives a float.
+    """
+    hw = HBAR * w
+
+    def density(beta):
+        x = hw * beta
+        with np.errstate(divide="ignore", over="ignore"):
+            n = np.where(x > _EXP_CUT, np.exp(-x), 1.0 / np.expm1(x))
+        d = np.maximum(scale * (prefactor * n), floor) * jac
+        return d if np.ndim(d) else float(d)
+    return density
 
 
 def mean_occupation(omega, temperature: "Temperature | float"):
@@ -169,28 +189,12 @@ def mean_occupation(omega, temperature: "Temperature | float"):
     Diverges (returns inf) for the infinite-temperature sentinel and
     underflows to exactly 0.0 deep in the exponential tail.
     """
-    return _bose(HBAR * omega_value(omega) * as_temperature(temperature).beta)
+    return _kernel(_omegas(omega), 1.0)(as_temperature(temperature).beta)
 
 
-def _planck_omega(omega):
-    """Validated rad/s, as omega_value, refused where omega^3 of the Planck densities overflows."""
-    w = omega_value(omega)
-    if np.ndim(w):
-        if np.any(w > _CUBE_MAX):
-            raise ValueError(f"angular frequencies must be at most {_CUBE_MAX:g} rad/s, where omega^3 is finite")
-        return w
-    return real_value("omega", w, hi=_CUBE_MAX)
-
-
-def _planck_on_grid(omega, scale: float, jac):
-    """scale * B_omega * jac at these frequencies as an unvalidated kernel of beta = 1/(k_B T).
-
-    omega is validated and the grid factors computed here, once. scale is 1.0 for the radiance B and
-    pi for the exitance; jac is 1.0 per rad/s and |d omega/d lambda| per nm.
-    """
-    w = _planck_omega(omega)
-    hw, prefactor = HBAR * w, HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2)
-    return lambda beta: scale * (prefactor * _bose(hw * beta)) * jac
+def _planck_kernel(scale: float, w, jac=1.0):
+    """scale * B_omega * jac as a kernel of beta; scale is 1.0 for the radiance B and pi for the exitance."""
+    return _kernel(w, HBAR * w ** 3 / (4.0 * math.pi ** 3 * C ** 2), scale, jac)
 
 
 def planck_radiance(omega, temperature: "Temperature | float"):
@@ -198,12 +202,12 @@ def planck_radiance(omega, temperature: "Temperature | float"):
 
     Units W m^-2 sr^-1 (rad/s)^-1.
     """
-    return _planck_on_grid(omega, 1.0, 1.0)(as_temperature(temperature).beta)
+    return _planck_kernel(1.0, _omegas(omega, _CUBE_MAX))(as_temperature(temperature).beta)
 
 
 def planck_irradiance(omega, temperature: "Temperature | float"):
     """Blackbody spectral exitance pi * B_omega, W m^-2 (rad/s)^-1."""
-    return _planck_on_grid(omega, math.pi, 1.0)(as_temperature(temperature).beta)
+    return _planck_kernel(math.pi, _omegas(omega, _CUBE_MAX))(as_temperature(temperature).beta)
 
 
 def planck_energy_density(omega, temperature: "Temperature | float"):
@@ -211,20 +215,14 @@ def planck_energy_density(omega, temperature: "Temperature | float"):
 
     Equals (4 pi / c) * planck_radiance.
     """
-    w = _planck_omega(omega)
-    return HBAR * w ** 3 / (math.pi ** 2 * C ** 3) * mean_occupation(w, temperature)
+    w = _omegas(omega, _CUBE_MAX)
+    return _kernel(w, HBAR * w ** 3 / (math.pi ** 2 * C ** 3))(as_temperature(temperature).beta)
 
 
-def _q1d_on_grid(omega, polarizations: int, jac):
-    """q1d_psd * jac at these frequencies as an unvalidated kernel of beta; inputs checked here, once; jac as above."""
+def _q1d_kernel(polarizations: int, w, jac=1.0):
+    """q1d_psd * jac as a kernel of beta, floored at the smallest positive double; jac as in _kernel."""
     pol = int_value("polarizations", polarizations, 1, 3)
-    hw = HBAR * omega_value(omega)
-    prefactor = (pol / 2.0) * (hw / math.pi)
-
-    def kernel(beta):
-        s = prefactor * _bose(hw * beta)
-        return (np.maximum(s, _TINY) if np.ndim(s) else max(s, _TINY)) * jac
-    return kernel
+    return _kernel(w, (pol / 2.0) * (HBAR * w / math.pi), jac=jac, floor=_TINY)
 
 
 def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
@@ -235,7 +233,7 @@ def q1d_psd(omega, temperature: "Temperature | float", polarizations: int = 2):
     one polarization carries half that. The return value is floored at the
     smallest positive double so the deep Wien tail stays positive.
     """
-    return _q1d_on_grid(omega, polarizations, 1.0)(as_temperature(temperature).beta)
+    return _q1d_kernel(polarizations, _omegas(omega))(as_temperature(temperature).beta)
 
 
 def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) -> float:
@@ -249,14 +247,12 @@ def q1d_total_power(temperature: "Temperature | float", polarizations: int = 2) 
 
 def q1d_psd_per_wavelength_on_grid(wavelength_nm, polarizations: int = 2):
     """q1d_psd_per_wavelength at these wavelengths as a function of beta = 1/(k_B T), validated once."""
-    lam, w = _wavelength_and_omega(wavelength_nm, _JACOBIAN_NM)
-    return _q1d_on_grid(w, polarizations, domega_dlambda(lam))
+    return _q1d_kernel(polarizations, *_omega_and_jacobian(wavelength_nm, _JACOBIAN_NM))
 
 
 def planck_irradiance_per_wavelength_on_grid(wavelength_nm):
     """planck_irradiance_per_wavelength at these wavelengths as a function of beta, validated once."""
-    lam, w = _wavelength_and_omega(wavelength_nm, DENSITY_BAND_NM)
-    return _planck_on_grid(w, math.pi, domega_dlambda(lam))
+    return _planck_kernel(math.pi, *_omega_and_jacobian(wavelength_nm, DENSITY_BAND_NM))
 
 
 def q1d_psd_per_wavelength(wavelength_nm, temperature: "Temperature | float", polarizations: int = 2):

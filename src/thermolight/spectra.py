@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radiometry import domega_dlambda
+from .radiometry import domega_dlambda, real_values
 
 
 class SpectrumKind(str, enum.Enum):
@@ -41,13 +41,6 @@ PER_WAVELENGTH_TWIN = {
 _PER_WAVELENGTH = set(PER_WAVELENGTH_TWIN.values())
 
 
-def _as_grid(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("expected a 1-d array with at least two samples")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class SampledSpectrum:
     """A spectral quantity sampled on a wavelength grid.
@@ -63,16 +56,14 @@ class SampledSpectrum:
     kind: SpectrumKind
 
     def __post_init__(self):
-        wl = _as_grid(self.wavelengths_nm)
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != wl.shape:
-            raise ValueError(f"values shape {v.shape} does not match grid shape {wl.shape}")
-        if not np.all(np.isfinite(wl)) or np.any(wl <= 0.0):
-            raise ValueError("wavelengths must be finite and positive")
+        wl = real_values("wavelengths_nm", self.wavelengths_nm)
+        if np.ndim(wl) != 1 or wl.size < 2:
+            raise ValueError("expected a 1-d array with at least two samples")
+        v = real_values("values", self.values, open_lo=False)
+        if np.shape(v) != wl.shape:
+            raise ValueError(f"values shape {np.shape(v)} does not match grid shape {wl.shape}")
         if np.any(np.diff(wl) <= 0.0):
             raise ValueError("wavelength grid must be strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise ValueError("values must be finite and non-negative")
         kind = SpectrumKind(self.kind)
         wl = wl.copy()
         v = v.copy()
@@ -86,11 +77,8 @@ class SampledSpectrum:
 
     def interpolate(self, grid_nm) -> np.ndarray:
         """Linear-in-wavelength interpolation, a scalar for a scalar; raises outside the sampled band."""
-        g = np.asarray(grid_nm, dtype=float)
-        lo, hi = self.wavelengths_nm[0], self.wavelengths_nm[-1]
-        if np.any(g < lo) or np.any(g > hi):
-            raise ValueError(f"requested wavelengths outside sampled band [{lo}, {hi}] nm")
-        return np.interp(g, self.wavelengths_nm, self.values)
+        wl = self.wavelengths_nm
+        return np.interp(real_values("wavelength_nm", grid_nm, wl[0], wl[-1], open_lo=False), wl, self.values)
 
     # -- integration -----------------------------------------------------
 

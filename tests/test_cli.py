@@ -599,6 +599,33 @@ def test_reduce_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, tem
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--slit-um", "-5"], "--slit-um must be a finite real in (0, inf), got -5.0"),
+    (["--distance-mm", "0"], "--distance-mm must be a finite real in (0, inf), got 0.0"),
+    (["--mode-field-radius-um", "nan"], "--mode-field-radius-um must be a finite real in (0, inf), got nan"),
+    (["--power-w", "-1"], "--power-w must be a finite real in (0, inf), got -1.0"),
+    (["--band-nm", "900", "400"], "--band-nm must satisfy lo < hi, got [900.0, 400.0]"),
+    (["--band-nm", "0", "900"], "--band-nm must be a finite real in (0, inf), got 0.0"),
+], ids=["negative-slit", "zero-distance", "nan-mode-field-radius", "negative-power", "reversed-band", "zero-band"])
+def test_reduce_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    run_main_refused([*write_reduce_inputs(tmp_path), *flags, "--out", str(out)], capsys, named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--motion-hz", "-1"], "--motion-hz must be a finite real in (0, inf), got -1.0"),
+    (["--t-room-k", "-300"], "--t-room-k must be a finite real in (0, inf), got -300.0"),
+    (["--t-sun-k", "-300"], "--t-sun-k must be a finite real in (0, inf), got -300.0"),
+    (["--t-room-k", "inf"], "--t-room-k must be a finite real in (0, inf), got inf"),
+], ids=["negative-motion", "negative-room", "negative-sun", "infinite-room"])
+def test_virtual_temp_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
+    out = tmp_path / "out"
+    argv = ["virtual-temp", "--ion", "ba138p", "--t-room-k", "300", "--t-sun-k", "5800", "--motion-hz", "1e6"]
+    run_main_refused([*argv, *flags, "--out", str(out)], capsys, named)
+    assert not out.exists()
+
+
 def test_reduce_reads_a_reference_file(tmp_path, capsys):
     argv = write_reduce_inputs(tmp_path)
     bundled = ReferenceSolarSpectrum.load_bundled()

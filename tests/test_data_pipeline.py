@@ -145,6 +145,9 @@ def test_slit_transmission_known_point_and_monotonicity():
     t = slit_transmission(geom, grid)
     assert np.all(np.diff(t) < 0.0)
     assert np.all((t > 0.0) & (t < 1.0))
+    for bad in (-500.0, 0.0, math.nan, True):
+        with pytest.raises(ValueError, match="wavelength_nm"):
+            slit_transmission(geom, bad)
 
 
 def test_apply_slit_correction_round_trip():
@@ -222,8 +225,10 @@ def test_calibrate_power_rejects_bad_inputs():
     shape = _q1d_spectrum(n=51)
     with pytest.raises(ValueError):
         calibrate_power(shape, -1.0, (450.0, 850.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not contained"):
         calibrate_power(shape, 1e-6, (350.0, 850.0))  # band leaves the grid
+    with pytest.raises(ValueError, match="lo < hi"):
+        calibrate_power(shape, 1e-6, (850.0, 450.0))
     per_omega = convert_spectral_domain(shape, SpectrumKind.PSD_PER_ANGULAR_FREQUENCY)
     with pytest.raises(ValueError):
         calibrate_power(per_omega, 1e-6, (450.0, 850.0))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -22,7 +23,7 @@ from thermolight import (
     q1d_total_power,
     wien_peak,
 )
-from thermolight.radiometry import DENSITY_BAND_NM, _peak_root
+from thermolight.radiometry import DENSITY_BAND_NM, _peak_root, real_values
 
 # CODATA 2018 exact defining constants, typed out here so the checks do
 # not share a constants module with the implementation.
@@ -115,10 +116,17 @@ def test_an_array_of_wavelengths_is_refused_where_a_scalar_is(density, band):
         for bad in (0.0, -1.0, math.nan, math.inf, 1e-200, band[0] / 2.0, band[1] * 2.0, 1e300):
             with pytest.raises(ValueError, match="wavelength_nm"):
                 density(bad, 5800.0)
-            with pytest.raises(ValueError, match="wavelengths must lie in"):
+            with pytest.raises(ValueError, match=rf"^wavelength_nm\[0\] must be .*, got {re.escape(repr(bad))}$"):
                 density(np.array([bad, 500.0]), 5800.0)
         inside = [band[0], 500.0, band[1]]
         assert density(np.array(inside), 5800.0).tolist() == [density(x, 5800.0) for x in inside]
+
+
+def test_real_values_returns_a_float_or_a_float64_array_copying_none():
+    grid = np.linspace(400.0, 900.0, 5)
+    assert real_values("grid", grid) is grid
+    assert real_values("grid", np.arange(1, 4, dtype=np.int32)).dtype == np.float64
+    assert type(real_values("grid", np.float32(2.0))) is float
 
 
 @pytest.mark.parametrize("cls", [Temperature, AngularFrequency])

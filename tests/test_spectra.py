@@ -64,8 +64,9 @@ def test_interpolate_and_resample():
         np.array([400.0, 500.0, 600.0]), np.array([0.0, 10.0, 20.0]), SpectrumKind.COUNTS
     )
     assert s.interpolate(450.0) == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        s.interpolate(399.0)
+    for outside in (399.0, 601.0, math.nan):
+        with pytest.raises(ValueError, match="wavelength_nm"):
+            s.interpolate(outside)
     assert np.array_equal(s.interpolate(s.wavelengths_nm), s.values)
 
 

@@ -1,12 +1,16 @@
-"""One rule for scalar inputs at every boundary.
+"""One rule for scalar and array inputs at every boundary.
 
 A scalar field or argument takes a real (or integer) number, Python's or
 numpy's, and stores it as a builtin float (or int). A bool is not a
-number here, and NaN, infinities and strings are rejected with a
-ValueError that names the field.
+number here, and NaN, infinities, strings and arrays are rejected with a
+ValueError that names the field. An argument that takes an array as well
+applies the scalar's rule to each element: an array of bools or strings,
+or one holding a NaN or an element out of range, is rejected with a
+ValueError that names the first bad element as label[index].
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +18,7 @@ import pytest
 
 from thermolight import (
     AngularFrequency,
+    BathSet,
     CoolingDrive,
     CycleConfig,
     FiberModeModel,
@@ -21,17 +26,30 @@ from thermolight import (
     SampledSpectrum,
     SlitGeometry,
     SpectrumKind,
+    beam_radius_at_slit,
     calibrate_power,
     divergence_half_angle,
     excitation_rate,
     gaussian_angular_radiance,
     grayness,
+    ground_state_occupation,
     load_ion,
+    mean_occupation,
+    mode_area,
+    mode_solid_angle,
     phonon_cooling_rate,
+    planck_energy_density,
+    planck_irradiance,
+    planck_irradiance_per_wavelength,
+    planck_radiance,
     q1d_psd,
+    q1d_psd_per_wavelength,
     q1d_total_power,
     simulate_ensemble,
+    slit_transmission,
     top_hat_area,
+    virtual_temperature,
+    virtual_temperature_room_limit,
 )
 
 ION = load_ion()
@@ -40,6 +58,8 @@ DRIVE = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=2e6)
 SLIT = SlitGeometry(slit_width_m=50e-6, distance_m=10e-3, mode_field_radius_m=2.25e-6)
 SHAPE = SampledSpectrum(np.linspace(400.0, 900.0, 11), np.ones(11), SpectrumKind.COUNTS)
 W = AngularFrequency.from_wavelength_nm(614.0)
+WM = 2.0 * math.pi * 1e6  # a trap frequency, rad/s
+MODEL = FiberModeModel("constant_divergence", (400.0, 900.0), omega0_sr=0.1)
 UNSET = object()
 
 
@@ -99,10 +119,25 @@ CASES = {
                                                                  polarizations=UNSET)),
     "simulate_ensemble.n_trajectories": ("n_trajectories", 2, called(simulate_ensemble, cfg=CFG,
                                                                      n_trajectories=UNSET)),
+    # the functions that take one angular frequency, a scalar only
+    **{f"{fn.__name__}.{a}": ("angular frequency", good, called(fn, **{**kwargs, a: UNSET}))
+       for fn, a, good, kwargs in (
+           (grayness, "omega", W.rad_per_s, {"area_m2": 1e-10}),
+           (mode_area, "omega", W.rad_per_s, {"model": MODEL}),
+           (mode_solid_angle, "omega", W.rad_per_s, {"model": MODEL}),
+           (divergence_half_angle, "omega", W.rad_per_s, {"waist_m": 1e-5}),
+           (excitation_rate, "omega_eg", W.rad_per_s, {"a_eg": 4e7, "g_e": 4, "g_g": 6, "rho": 1e-20}),
+           (gaussian_angular_radiance, "omega", W.rad_per_s,
+            {"theta_rad": 0.01, "waist_m": 1e-5, "psd_w_per_rad_s": 1e-12}),
+           (virtual_temperature, "omega_motion", WM, {"ion": ION, "baths": BathSet(math.inf, 5800.0, 300.0)}),
+           (virtual_temperature_room_limit, "omega_motion", WM, {"ion": ION, "t_room": 300.0}),
+           (ground_state_occupation, "omega_motion", WM, {"t_v": 1e-3}),
+       )},
 }
 
 
-@pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1"], ids=["bool", "nan", "inf", "str"])
+@pytest.mark.parametrize("bad", [True, math.nan, math.inf, "1", np.array([1.0, 2.0])],
+                         ids=["bool", "nan", "inf", "str", "array"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_bad_scalar_is_rejected_by_name(case, bad):
     label, _, build = CASES[case]
@@ -118,3 +153,40 @@ def test_numpy_scalar_is_stored_as_builtin(case):
     for numpy_type in numpy_types:
         value = build(numpy_type(good))
         assert value is None or (type(value) is builtin and value == numpy_type(good))
+
+
+LAMS = np.array([400.0, 500.0, 600.0])  # wavelengths in nm; the interpolated spectrum below spans just these
+OMEGAS = 2.0 * math.pi * 299792458.0 / (LAMS * 1e-9)
+
+# (label in the error, a valid array, build) for each input that takes a scalar or an array
+ARRAY_CASES = {
+    **{fn.__name__: ("omega", OMEGAS, lambda v, fn=fn: fn(v, 5800.0))
+       for fn in (mean_occupation, planck_radiance, planck_irradiance, planck_energy_density, q1d_psd)},
+    **{fn.__name__: ("wavelength_nm", LAMS, lambda v, fn=fn: fn(v, 5800.0))
+       for fn in (q1d_psd_per_wavelength, planck_irradiance_per_wavelength)},
+    "SampledSpectrum.wavelengths_nm": ("wavelengths_nm", LAMS, lambda v: SampledSpectrum(v, np.ones(3), "counts")),
+    "SampledSpectrum.values": ("values", np.ones(3), lambda v: SampledSpectrum(LAMS, v, "counts")),
+    "SampledSpectrum.interpolate": ("wavelength_nm", LAMS, SampledSpectrum(LAMS, np.ones(3), "counts").interpolate),
+    "slit_transmission": ("wavelength_nm", LAMS, lambda v: slit_transmission(SLIT, v)),
+    "beam_radius_at_slit": ("wavelength_nm", LAMS, lambda v: beam_radius_at_slit(SLIT, v)),
+}
+
+# a bad array made from the valid one, and the index of its first bad element
+BAD_ARRAYS = {
+    "bool": (lambda good: np.ones(3, dtype=bool), 0),
+    "str": (lambda good: good.astype(str), 0),
+    "nan": (lambda good: np.array([good[0], math.nan, -1.0]), 1),  # the first of two bad elements
+    "negative": (lambda good: np.array([good[0], good[1], -1.0]), 2),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARRAYS))
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_bad_array_is_rejected_naming_its_first_bad_element(case, bad):
+    label, good, build = ARRAY_CASES[case]
+    build(good)
+    make, index = BAD_ARRAYS[bad]
+    array = make(good)
+    named = re.escape(repr(array.tolist()[index]))
+    with pytest.raises(ValueError, match=rf"^{label}\[{index}\] must be a finite real in .*, got {named}$"):
+        build(array)
