@@ -36,10 +36,10 @@ from .ion_thermo import (
     PopulationInversionError,
     branching_fraction,
     cooling_rate_report,
+    cycle_rate,
     excitation_rate,
     ground_state_occupation,
     load_ion,
-    phonon_cooling_rate,
     virtual_temperature,
     virtual_temperature_room_limit,
 )
@@ -47,7 +47,6 @@ from .cooling_sim import (
     CoolingTrajectory,
     CycleConfig,
     EnsembleStats,
-    cycle_rate,
     ensemble_stats,
     rate_equation_trajectory,
     simulate_ensemble,

@@ -146,12 +146,7 @@ def renewal_slope(gamma: float, eta_sp: float, tau_i: float, transfer_prob: floa
 
 def _criterion_1_cooling_rate() -> CriterionResult:
     ion = load_ion("ba138p")
-    drive = CoolingDrive(
-        eta_delivery=0.5,
-        grayness=5e-5,
-        omega_motion=AngularFrequency(2.0 * math.pi * 1e6),
-        p_d=1.0,
-    )
+    drive = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=AngularFrequency(2.0 * math.pi * 1e6))
     report = cooling_rate_report(ion, drive, Temperature(5800.0))
     target = -8.2
     ok = abs(report.phonon_rate - target) <= 0.10 * abs(target)

@@ -27,7 +27,6 @@ from . import acceptance as acceptance_mod
 from .constants import NM, TWO_PI_C
 from .cooling_sim import (
     CycleConfig,
-    cycle_rate,
     ensemble_counters,
     ensemble_stats,
     rate_equation_trajectory,
@@ -44,6 +43,7 @@ from .ion_thermo import (
     BathSet,
     CoolingDrive,
     cooling_rate_report,
+    cycle_rate,
     ground_state_occupation,
     load_ion,
     virtual_temperature,
@@ -129,7 +129,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grayness", type=float, help="geometric grayness G (alternative to --waist-um)")
     p.add_argument("--waist-um", type=float, help="focus waist in um; G from the top-hat area at the driven line")
     p.add_argument("--temperature-k", type=float, help="source temperature in K")
-    p.add_argument("--p-d", type=float, default=1.0, help="occupation probability of D (default %(default)s)")
+    p.add_argument("--step-duration-s", type=float, default=0.0,
+                   help="sideband interval tau_I in s (0: always in D); simulate --gamma GAMMA_PER_S --eta-sp ETA_SP "
+                        "--step-duration-s tau_I gives renewal_slope_per_s = phonon_rate_per_s (default %(default)s)")
 
     def kelvin(text: str) -> Temperature:  # argparse names it: "invalid kelvin value"
         return Temperature(math.inf if text.lower() == "infinite" else float(text))
@@ -340,13 +342,9 @@ def cmd_rate(args) -> dict:
     else:
         g = args.grayness
     grayness_flag = "--grayness" if args.waist_um is None else "the grayness of --waist-um"
-    with _flag_names({"eta_delivery": "--eta", "grayness": grayness_flag, "p_d": "--p-d"}):
-        drive = CoolingDrive(
-            eta_delivery=args.eta,
-            grayness=g,
-            omega_motion=AngularFrequency(2.0 * math.pi * 1e6),  # not used by the rate
-            p_d=args.p_d,
-        )
+    with _flag_names({"eta_delivery": "--eta", "grayness": grayness_flag, "step_duration_s": "--step-duration-s"}):
+        drive = CoolingDrive(eta_delivery=args.eta, grayness=g, step_duration_s=args.step_duration_s,
+                             omega_motion=AngularFrequency(2.0 * math.pi * 1e6))  # not used by the rate
     report = cooling_rate_report(ion, drive, Temperature(real_value("--temperature-k", args.temperature_k)))
     out = {
         "command": "rate",
@@ -357,7 +355,7 @@ def cmd_rate(args) -> dict:
             "grayness": g,
             "waist_um": args.waist_um,
             "temperature_k": args.temperature_k,
-            "p_d": drive.p_d,
+            "step_duration_s": drive.step_duration_s,
             "driven_wavelength_nm": omega2.wavelength_nm,
         },
         "mean_occupation": report.mean_occupation_sun,
@@ -376,7 +374,10 @@ def cmd_virtual_temp(args) -> dict:
     ion = load_ion(args.ion)
     t_sun = Temperature(real_value("--t-sun-k", args.t_sun_k))
     baths = BathSet(args.t_laser_k, t_sun, Temperature(real_value("--t-room-k", args.t_room_k)))
-    wm = AngularFrequency(2.0 * math.pi * real_value("--motion-hz", args.motion_hz))
+    wm = 2.0 * math.pi * real_value("--motion-hz", args.motion_hz)
+    if not wm < ion.omega1_rad_s:  # virtual_temperature's bound; an overflowing 2 pi v fails it too
+        raise ValueError(f"--motion-hz must be below the S-D splitting, {ion.omega1_rad_s / (2.0 * math.pi):.4g} Hz, "
+                         f"got {args.motion_hz!r}")
     t_v = virtual_temperature(ion, baths, wm)
     t_room_limit = virtual_temperature_room_limit(ion, baths.t_room, wm)
     all_thermal = virtual_temperature(
@@ -411,7 +412,7 @@ def cmd_virtual_temp(args) -> dict:
 def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
     """Mean estimate of the rows an ensemble records (see ROWS_ESTIMATE), and the flags of its largest term."""
     heating = cfg.heating_rate * cfg.t_max_s
-    cycles = cycle_rate(cfg) * cfg.t_max_s
+    cycles = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob) * cfg.t_max_s
     n0 = cfg.n_initial
     if n0 + heating >= cycles:
         transfers, flag = cycles, "the cycle rate of --gamma, --eta-sp and --step-duration-s"
@@ -468,7 +469,7 @@ def cmd_simulate(args) -> dict:
             "n_initial": cfg.n_initial, "t_max_s": cfg.t_max_s, "seed": cfg.seed,
             "trajectories": args.trajectories,
         },
-        "renewal_slope_per_s": -cycle_rate(cfg),
+        "renewal_slope_per_s": -cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob),
         "stats": stats.to_summary_dict(),
         "counters": ensemble_counters(trajectories),
     }
@@ -497,10 +498,11 @@ def cmd_reduce(args) -> dict:
     band = _band_flag(args.band_nm)
     t = Temperature(real_value("--temperature-k", args.temperature_k))
     power_w = real_value("--power-w", args.power_w)
+    # the floors keep each length positive in metres, where a subnormal one would underflow to 0
     slit = SlitGeometry(
-        slit_width_m=real_value("--slit-um", args.slit_um) * 1e-6,
-        distance_m=real_value("--distance-mm", args.distance_mm) * 1e-3,
-        mode_field_radius_m=real_value("--mode-field-radius-um", args.mode_field_radius_um) * 1e-6,
+        slit_width_m=real_value("--slit-um", args.slit_um, 1e-300) * 1e-6,
+        distance_m=real_value("--distance-mm", args.distance_mm, 1e-300) * 1e-3,
+        mode_field_radius_m=real_value("--mode-field-radius-um", args.mode_field_radius_um, 1e-300) * 1e-6,
     )
     raw = read_spectrum_csv(args.raw)
     response = InstrumentResponse.from_csv(args.response)

@@ -13,7 +13,8 @@ from array import array
 
 import numpy as np
 
-from .cooling_sim import CycleConfig, _pcg64_states, cycle_rate
+from .cooling_sim import CycleConfig, _pcg64_states
+from .ion_thermo import cycle_rate
 
 PARSE_MEMBERS = 128  # members parsed together; a pass holds about 25 bytes per member and drawn uniform
 PARSE_WIDTH = 4096   # the longest stream a parse pass draws; members that need more take the event loop
@@ -29,7 +30,8 @@ def _stream_width(cfg: CycleConfig) -> int:
     excitation (the wait and the branching), 1/eta_SP per transfer.
     """
     intervals = min(cfg.n_initial / cfg.transfer_prob, cfg.t_max_s / cfg.step_duration_s)
-    transfers = min(cfg.n_initial, cycle_rate(cfg) * cfg.t_max_s)
+    rate = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob)
+    transfers = min(cfg.n_initial, rate * cfg.t_max_s)
     mean = intervals + 2.0 * transfers / cfg.eta_sp
     return int(min(STREAM_MARGIN * mean, 2 * PARSE_WIDTH)) + STREAM_SPARE
 

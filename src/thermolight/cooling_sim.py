@@ -54,6 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .ion_thermo import cycle_rate
 from .radiometry import int_value, real_value
 from .spectra import atomic_write_text, csv_text
 
@@ -493,7 +494,8 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     ref = _SHARED_FIELDS(trajectories[0].config)  # members differ in their seeds only
     if any(_SHARED_FIELDS(traj.config) != ref for traj in trajectories):
         raise ValueError("trajectories come from differing configs")
-    t_max = trajectories[0].config.t_max_s
+    cfg = trajectories[0].config
+    t_max = cfg.t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
     times = np.concatenate([traj.times_s for traj in trajectories])
     numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
@@ -507,7 +509,7 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     steady = float(quartiles.mean())
     steady_err = float(quartiles.std(ddof=1) / math.sqrt(len(trajectories)))
 
-    rate = cycle_rate(trajectories[0].config)
+    rate = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob)
     start = int(np.searchsorted(grid, 1.0 / rate)) if rate > 0.0 else 0  # no cycles, no phase lock
     n0 = mean_n[0]
     target = n0 - 0.2 * (n0 - steady)
@@ -542,18 +544,6 @@ class RateCurve(NamedTuple):
     n: np.ndarray
 
 
-def cycle_rate(cfg: CycleConfig) -> float:
-    """Phonons removed per unit time while n >= 1: R = Gamma eta_SP p/(p + Gamma eta_SP tau_I).
-
-    R = 0 at p = 0, where nothing is transferred; the formula reads 0/0 there once Gamma eta_SP tau_I
-    underflows.
-    """
-    ge, p = cfg.gamma * cfg.eta_sp, cfg.transfer_prob
-    if p == 0.0:
-        return 0.0
-    return ge * p / (p + ge * cfg.step_duration_s)
-
-
 def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCurve:
     """Mean-field companion to the Monte Carlo, dn/dt = -R n/(n + 1/2) + h, on ensemble_stats' grid.
 
@@ -568,7 +558,8 @@ def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCu
     not: n is monotone bit for bit, whatever the rounding of t(n), and n[0] = n0.
     """
     grid_points = int_value("grid_points", grid_points, 1)
-    r, h, n0 = cycle_rate(cfg), cfg.heating_rate, float(cfg.n_initial)
+    r = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob)
+    h, n0 = cfg.heating_rate, float(cfg.n_initial)
     times = np.linspace(0.0, cfg.t_max_s, grid_points)
     # rates in units of the larger one keep a n0 + b finite; t(n) is then in units of 1/scale
     scale = max(r, h) or 1.0

@@ -133,12 +133,12 @@ class CoolingDrive:
     eta_delivery: float   # fiber + optics delivery efficiency, (0, 1]
     grayness: float       # geometric grayness G, (0, 1]
     omega_motion: AngularFrequency
-    p_d: float = 1.0      # probability of sitting in D when step II light arrives
+    step_duration_s: float = 0.0  # sideband interval tau_I; at 0 the ion always waits in D
 
     def __post_init__(self):
         object.__setattr__(self, "eta_delivery", real_value("eta_delivery", self.eta_delivery, hi=1.0))
         object.__setattr__(self, "grayness", real_value("grayness", self.grayness, hi=1.0))
-        object.__setattr__(self, "p_d", real_value("p_d", self.p_d, 0.0, 1.0, open_lo=False))
+        object.__setattr__(self, "step_duration_s", real_value("step_duration_s", self.step_duration_s, open_lo=False))
         object.__setattr__(self, "omega_motion", AngularFrequency(omega_value(self.omega_motion)))
 
 
@@ -159,12 +159,16 @@ def excitation_rate(a_eg: float, g_e: int, g_g: int, omega_eg, rho: float) -> fl
     return (math.pi ** 2 * C ** 3) / (HBAR * omega_value(omega_eg) ** 3) * g_ratio * a_eg * rho
 
 
-def phonon_cooling_rate(gamma: float, p_d: float, eta_sp: float) -> float:
-    """Cycle-averaged phonon rate -Gamma p_D eta_SP; negative means cooling."""
-    gamma = real_value("gamma", gamma, open_lo=False)
-    p_d = real_value("p_d", p_d, 0.0, 1.0, open_lo=False)
-    eta_sp = real_value("eta_sp", eta_sp, 0.0, 1.0, open_lo=False)
-    return -gamma * p_d * eta_sp
+def cycle_rate(gamma: float, eta_sp: float, step_duration_s: float, transfer_prob: float = 1.0) -> float:
+    """Phonons removed per unit time while n >= 1, R = Gamma eta_SP p_D, p the transfer probability.
+
+    p_D = p/(p + Gamma eta_SP tau_I) is the share of a removal's tau_I/p + 1/(Gamma eta_SP) spent waiting in D;
+    1 at tau_I = 0. R = 0 at p = 0, where the formula reads 0/0 once Gamma eta_SP tau_I underflows.
+    """
+    ge = real_value("gamma", gamma, open_lo=False) * real_value("eta_sp", eta_sp, 0.0, 1.0, open_lo=False)
+    tau = real_value("step_duration_s", step_duration_s, open_lo=False)
+    p = real_value("transfer_prob", transfer_prob, 0.0, 1.0, open_lo=False)
+    return ge * p / (p + ge * tau) if p > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,7 @@ def cooling_rate_report(ion: IonSpec, drive: CoolingDrive, t_sun: "Temperature |
         gamma=gamma,
         gamma_over_a_pd=ratio,
         eta_sp=eta_sp,
-        phonon_rate=phonon_cooling_rate(gamma, drive.p_d, eta_sp),
+        phonon_rate=-cycle_rate(gamma, eta_sp, drive.step_duration_s),
     )
 
 

@@ -63,20 +63,23 @@ def real_value(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo:
 def real_values(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo: bool = True):
     """real_value for a scalar; an array, as float64 and uncopied if it is float64, if each element passes real_value.
 
-    An array of bools, complex numbers, strings or objects fails whatever it holds. A refusal names the
-    first element that fails as label[i], i its index in C order.
+    An array of bools, complex numbers, strings or objects fails whatever it holds, and so does a bool in a
+    sequence of numbers. A refusal names the first element that fails as label[i], i its index in C order.
     """
     if not np.ndim(v):
         return real_value(label, v, lo, hi, open_lo=open_lo)
     a = np.asarray(v)
+    items = v if isinstance(v, np.ndarray) else np.asarray(v, dtype=object)  # asarray reads a listed bool as 0 or 1
     if a.dtype.kind in "fiu":
         a = a.astype(float, copy=False)
         bad = ~(np.isfinite(a) & (a > lo if open_lo else a >= lo) & (a <= hi))
+        if items.dtype == object:
+            bad |= ~np.frompyfunc(is_real, 1, 1)(items).astype(bool)
     else:
         bad = np.ones(a.shape, dtype=bool)
     if bad.any():
         i = int(bad.argmax())
-        real_value(f"{label}[{i}]", a.item(i), lo, hi, open_lo=open_lo)  # raises, unless an object holds a real
+        real_value(f"{label}[{i}]", items.item(i), lo, hi, open_lo=open_lo)  # raises, unless an object holds a real
         raise ValueError(f"{label} must be an array of real numbers, got one of dtype {a.dtype}")
     return a.astype(float, copy=False)
 

@@ -1,26 +1,34 @@
 """End-to-end command-line checks through subprocess, matching real usage."""
 
+import io
 import json
 import os
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermolight import (
+    CoolingDrive,
     ReferenceSolarSpectrum,
     SampledSpectrum,
     SpectrumKind,
     atmospheric_correction,
+    cooling_rate_report,
+    cycle_rate,
     load_ion,
     q1d_psd_per_wavelength,
     read_spectrum_csv,
     slit_transmission,
     write_spectrum_csv,
 )
+from thermolight.acceptance import renewal_slope
 from thermolight.data_pipeline import SlitGeometry
 from scipy.integrate import trapezoid
 
@@ -549,9 +557,12 @@ def run_main_refused(argv, capsys, flag):
     (["--waist-um", "0.3", "--temperature-k", "5800"], "--waist-um 0.3 is outside the paraxial focus model"),
     (["--waist-um", "0.01", "--temperature-k", "5800"], "--waist-um 0.01 is outside the paraxial focus model"),
     (["--waist-um", "1e-300", "--temperature-k", "5800"], "--waist-um 1e-300 is outside the paraxial focus model"),
-    (["--grayness", "5e-5", "--temperature-k", "5800", "--p-d", "nan"], "--p-d must be"),
+    (["--grayness", "5e-5", "--temperature-k", "5800", "--step-duration-s", "nan"],
+     "--step-duration-s must be a finite real in [0, inf), got nan"),
+    (["--grayness", "5e-5", "--temperature-k", "5800", "--step-duration-s", "-1"],
+     "--step-duration-s must be a finite real in [0, inf), got -1.0"),
 ], ids=["inf-temperature", "nan-temperature", "huge-waist", "non-paraxial-waist", "sub-diffraction-waist",
-        "tiny-waist", "nan-p-d"])
+        "tiny-waist", "nan-step-duration", "negative-step-duration"])
 def test_rate_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     run_main_refused(["rate", "--ion", "ba138p", "--eta", "0.5", *flags, "--out", str(out)], capsys, named)
@@ -600,13 +611,17 @@ def test_reduce_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, tem
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--slit-um", "-5"], "--slit-um must be a finite real in (0, inf), got -5.0"),
-    (["--distance-mm", "0"], "--distance-mm must be a finite real in (0, inf), got 0.0"),
-    (["--mode-field-radius-um", "nan"], "--mode-field-radius-um must be a finite real in (0, inf), got nan"),
+    (["--slit-um", "-5"], "--slit-um must be a finite real in (1e-300, inf), got -5.0"),
+    (["--distance-mm", "0"], "--distance-mm must be a finite real in (1e-300, inf), got 0.0"),
+    (["--mode-field-radius-um", "nan"], "--mode-field-radius-um must be a finite real in (1e-300, inf), got nan"),
     (["--power-w", "-1"], "--power-w must be a finite real in (0, inf), got -1.0"),
     (["--band-nm", "900", "400"], "--band-nm must satisfy lo < hi, got [900.0, 400.0]"),
     (["--band-nm", "0", "900"], "--band-nm must be a finite real in (0, inf), got 0.0"),
-], ids=["negative-slit", "zero-distance", "nan-mode-field-radius", "negative-power", "reversed-band", "zero-band"])
+    # positive in um, but 0 once converted to metres
+    (["--slit-um", "1e-320"], "--slit-um must be a finite real in (1e-300, inf), got 1e-320"),
+    (["--mode-field-radius-um", "1e-320"], "--mode-field-radius-um must be a finite real in (1e-300, inf), got 1e-320"),
+], ids=["negative-slit", "zero-distance", "nan-mode-field-radius", "negative-power", "reversed-band", "zero-band",
+        "underflowing-slit", "underflowing-mode-field-radius"])
 def test_reduce_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     run_main_refused([*write_reduce_inputs(tmp_path), *flags, "--out", str(out)], capsys, named)
@@ -618,7 +633,11 @@ def test_reduce_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     (["--t-room-k", "-300"], "--t-room-k must be a finite real in (0, inf), got -300.0"),
     (["--t-sun-k", "-300"], "--t-sun-k must be a finite real in (0, inf), got -300.0"),
     (["--t-room-k", "inf"], "--t-room-k must be a finite real in (0, inf), got inf"),
-], ids=["negative-motion", "negative-room", "negative-sun", "infinite-room"])
+    # finite in Hz: 2 pi v overflows, or passes the S-D splitting
+    (["--motion-hz", "1e308"], "--motion-hz must be below the S-D splitting, 1.701e+14 Hz, got 1e+308"),
+    (["--motion-hz", "1e16"], "--motion-hz must be below the S-D splitting, 1.701e+14 Hz, got 1e+16"),
+], ids=["negative-motion", "negative-room", "negative-sun", "infinite-room", "overflowing-motion",
+        "motion-above-splitting"])
 def test_virtual_temp_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     argv = ["virtual-temp", "--ion", "ba138p", "--t-room-k", "300", "--t-sun-k", "5800", "--motion-hz", "1e6"]
@@ -660,3 +679,34 @@ def test_check_json_reports_a_failure(tmp_path, capsys, monkeypatch):
         "passed": False,
         "results": [{"index": 1, "name": "stub criterion", "passed": False, "detail": "stub detail"}],
     }
+
+
+@settings(deadline=None, max_examples=25)
+@given(a_ps=st.floats(1e6, 1e9), a_pd=st.floats(1e6, 1e9), grayness=st.floats(1e-6, 1.0),
+       temperature_k=st.floats(3000.0, 10000.0), tau=st.one_of(st.just(0.0), st.floats(1e-6, 0.1)))
+def test_rate_and_simulate_price_one_cycle_rate(tmp_path_factory, a_ps, a_pd, grayness, temperature_k, tau):
+    # an ion whose A rates set eta_SP, and a drive whose grayness and temperature set Gamma
+    import thermolight.cli as cli
+
+    out = tmp_path_factory.mktemp("chain")
+    ion = json.loads(resources.files("thermolight.data").joinpath("ba138p.json").read_text("utf-8"))
+    ion.update(A_PS_s=a_ps, A_PD_s=a_pd, A_PD_driven_s=a_pd)
+    (out / "ion.json").write_text(json.dumps(ion))
+    report = cooling_rate_report(load_ion(str(out / "ion.json")),
+                                 CoolingDrive(0.5, grayness, 2e6, step_duration_s=tau), temperature_k)
+    assert report.phonon_rate == -cycle_rate(report.gamma, report.eta_sp, tau)
+    assert report.phonon_rate == pytest.approx(-renewal_slope(report.gamma, report.eta_sp, tau), rel=1e-12, abs=0.0)
+
+    def report_of(name, *argv):
+        with redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", str(out)]) == 0
+        return json.loads((out / name).read_text())
+
+    rate = report_of("rate_report.json", "rate", "--ion", str(out / "ion.json"), "--eta", "0.5", "--grayness",
+                     repr(grayness), "--temperature-k", repr(temperature_k), "--step-duration-s", repr(tau))
+    assert rate["phonon_rate_per_s"] == report.phonon_rate
+    if tau > 0.0:  # simulate's sideband interval is positive
+        summary = report_of("ensemble_summary.json", "simulate", "--gamma", repr(rate["gamma_per_s"]),
+                            "--eta-sp", repr(rate["eta_sp"]), "--step-duration-s", repr(tau), "--t-max-s", "1",
+                            "--trajectories", "2", "--grid-points", "3", "--write-trajectories", "0")
+        assert summary["renewal_slope_per_s"] == rate["phonon_rate_per_s"]

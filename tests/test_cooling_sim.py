@@ -21,6 +21,12 @@ from thermolight.acceptance import markov_steady_state_occupation, renewal_slope
 from thermolight import cooling_parse, cooling_sim
 from thermolight.cooling_sim import ensemble_counters
 
+
+def rate_of(cfg):
+    """The cycle rate of a config's fields, as the simulator's callers compute it."""
+    return cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob)
+
+
 BASE = CycleConfig(
     gamma=11.06,
     eta_sp=0.74,
@@ -197,7 +203,7 @@ def test_trajectories_and_stats_compare_by_identity():
 
 def test_cycle_rate_formula():
     ge = BASE.gamma * BASE.eta_sp
-    assert cycle_rate(BASE) == pytest.approx(ge / (1.0 + ge * BASE.step_duration_s), rel=1e-12)
+    assert rate_of(BASE) == pytest.approx(ge / (1.0 + ge * BASE.step_duration_s), rel=1e-12)
 
 
 @pytest.mark.parametrize("n0", [0, 3])
@@ -205,7 +211,7 @@ def test_no_transfer_has_no_cycle_rate(n0):
     # Gamma eta_SP tau_I underflows to 0 here, where the formula alone reads 0/0
     cfg = CycleConfig(gamma=1e-200, eta_sp=0.5, step_duration_s=1e-200, t_max_s=1, seed=1, transfer_prob=0,
                       n_initial=n0)
-    assert cycle_rate(cfg) == 0.0
+    assert rate_of(cfg) == 0.0
     assert renewal_slope(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob) == 0.0
     stats = ensemble_stats(simulate_ensemble(cfg, 4))
     assert stats.slope_window_s[0] == 0.0 and abs(stats.slope_per_s) < 1e-12 and np.all(stats.mean_n == n0)
@@ -246,7 +252,7 @@ def test_partial_transfer_slope_matches_renewal_rate():
     stats = ensemble_stats(simulate_ensemble(cfg, 400))
     want = -renewal_slope(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, transfer_prob=0.6)
     assert abs(stats.slope_per_s - want) <= 3.0 * stats.slope_stderr
-    assert cycle_rate(cfg) == pytest.approx(-want, rel=1e-12)  # the rate equation's R takes the same p
+    assert rate_of(cfg) == pytest.approx(-want, rel=1e-12)  # the rate equation's R takes the same p
 
 
 def test_partial_transfer_steady_state_matches_markov_chain():
@@ -289,7 +295,7 @@ def test_rate_equation_cooling_phase_is_linear():
 
     cfg = replace(BASE, n_initial=50, t_max_s=2.0)
     curve = rate_equation_trajectory(cfg)
-    r = cycle_rate(cfg)
+    r = rate_of(cfg)
     k = int(np.searchsorted(curve.times_s, 1.0))
     linear = 50.0 - r * curve.times_s[k]
     assert curve.n[k] == pytest.approx(linear, rel=5e-3)
@@ -308,7 +314,7 @@ def test_rate_equation_heated_steady_state():
         n_initial=0,
     )
     curve = rate_equation_trajectory(cfg)
-    r = cycle_rate(cfg)
+    r = rate_of(cfg)
     want = 0.5 * cfg.heating_rate / (r - cfg.heating_rate)
     assert curve.n[-1] == pytest.approx(want, rel=1e-2)
 
@@ -481,7 +487,7 @@ def reference_stats(trajectories, grid_points=201):
     mean_n = samples.mean(axis=0)
     quartiles = np.array([average(traj, 0.75 * t_max, t_max) for traj in trajectories])
     steady = quartiles.mean()
-    start = min(int(np.searchsorted(grid, 1.0 / cycle_rate(trajectories[0].config))), grid_points - 3)
+    start = min(int(np.searchsorted(grid, 1.0 / rate_of(trajectories[0].config))), grid_points - 3)
     target = mean_n[0] - 0.2 * (mean_n[0] - steady)
     below = np.nonzero(mean_n <= target)[0] if target < mean_n[0] else []
     stop = max(int(below[0]) if len(below) else int(0.2 * (grid_points - 1)), start + 2)
@@ -519,7 +525,7 @@ def test_one_pass_stats_match_the_member_by_member_reference(cfg, members, grid_
 
 def closure_rate_equation(cfg):
     """The fixed-step RK4 integration rate_equation_trajectory once ran, kept as a reference for the closed form."""
-    r = cycle_rate(cfg)
+    r = rate_of(cfg)
     h = cfg.heating_rate
     dt = cfg.t_max_s / 200.0
     if r > 0.0:
@@ -546,8 +552,8 @@ def closure_rate_equation(cfg):
 @pytest.mark.parametrize("cfg", [
     replace(BASE, n_initial=50, t_max_s=8.0),
     replace(HEATED, heating_rate=4.0, n_initial=3),
-    replace(HEATED, heating_rate=cycle_rate(HEATED) * (1.0 - 1e-9)),
-    replace(HEATED, heating_rate=2.6 * cycle_rate(HEATED), transfer_prob=0.6, n_initial=40),
+    replace(HEATED, heating_rate=rate_of(HEATED) * (1.0 - 1e-9)),
+    replace(HEATED, heating_rate=2.6 * rate_of(HEATED), transfer_prob=0.6, n_initial=40),
     # R = 3 and h = 2 put the fixed point h/(2(R - h)) at n0 = 1, where dn/dt is exactly 0
     CycleConfig(gamma=3.0, eta_sp=1.0, step_duration_s=1e-300, t_max_s=3.0, seed=1, heating_rate=2.0, n_initial=1),
 ], ids=["cooling", "heated", "near-balance", "runaway", "fixed-point-start"])
@@ -570,7 +576,7 @@ def test_rate_equation_agrees_with_the_rk4_closure(cfg):
 def test_rate_equation_solves_its_ode(n0, gamma, eta_sp, tau, p, load, span):
     cfg = CycleConfig(gamma=gamma, eta_sp=eta_sp, step_duration_s=tau, t_max_s=1.0, seed=1, transfer_prob=p,
                       n_initial=n0)
-    r = cycle_rate(cfg)
+    r = rate_of(cfg)
     h = load * r if r > 0.0 else load  # h as a share of R, or in 1/s where nothing cools
     cfg = replace(cfg, heating_rate=h, t_max_s=span / r if r > 0.0 else span)
     curve = rate_equation_trajectory(cfg, grid_points=4001)

@@ -16,10 +16,10 @@ from thermolight import (
     Temperature,
     branching_fraction,
     cooling_rate_report,
+    cycle_rate,
     excitation_rate,
     ground_state_occupation,
     load_ion,
-    phonon_cooling_rate,
     planck_energy_density,
     mean_occupation,
     virtual_temperature,
@@ -97,15 +97,17 @@ def test_excitation_rate_reduces_to_occupation():
         assert excitation_rate(a, 4, 6, w, rho) == pytest.approx(want, rel=1e-10)
 
 
-def test_phonon_cooling_rate_sign_and_scaling():
-    assert phonon_cooling_rate(10.0, 1.0, 0.74) == pytest.approx(-7.4, rel=1e-12)
-    assert phonon_cooling_rate(10.0, 0.0, 0.74) == 0.0
-    assert phonon_cooling_rate(10.0, 0.5, 0.74) == pytest.approx(-3.7, rel=1e-12)
+def test_cycle_rate_is_gamma_eta_sp_times_the_share_in_d():
+    # p_D = p/(p + Gamma eta_SP tau_I): 1 at tau_I = 0, 0 at p = 0, 1/2 at tau_I = 1/(Gamma eta_SP)
+    assert cycle_rate(10.0, 0.74, 0.0) == 10.0 * 0.74
+    assert cycle_rate(10.0, 0.74, 0.0, transfer_prob=0.0) == 0.0
+    assert cycle_rate(10.0, 0.74, 1.0 / 7.4) == pytest.approx(3.7, rel=1e-12)
+    assert cycle_rate(10.0, 0.74, 1.0 / 7.4, transfer_prob=0.5) == pytest.approx(7.4 / 3.0, rel=1e-12)
 
 
 def test_sunlight_cooling_report_regression():
     ion = load_ion()
-    drive = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=WM, p_d=1.0)
+    drive = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=WM)
     rep = cooling_rate_report(ion, drive, 5800.0)
     assert rep.mean_occupation_sun == pytest.approx(0.01795099054626637, rel=1e-12)
     assert rep.gamma == pytest.approx(11.057847935005228, rel=1e-12)
@@ -113,6 +115,10 @@ def test_sunlight_cooling_report_regression():
     assert rep.phonon_rate == pytest.approx(-8.201605813393378, rel=1e-12)
     # a few phonons per second of cooling from a 5800 K source
     assert -10.0 < rep.phonon_rate < -6.0
+    # a 1 ms sideband interval leaves the ion in D for p_D = 1/(1 + Gamma eta_SP tau_I) of the time
+    slow = cooling_rate_report(ion, CoolingDrive(0.5, 5e-5, WM, step_duration_s=1e-3), 5800.0)
+    assert slow.gamma == rep.gamma
+    assert slow.phonon_rate == pytest.approx(rep.phonon_rate / (1.0 - 1e-3 * rep.phonon_rate), rel=1e-12)
 
 
 def test_drive_validation():
@@ -121,7 +127,7 @@ def test_drive_validation():
     with pytest.raises(ValueError):
         CoolingDrive(eta_delivery=0.5, grayness=1.5, omega_motion=WM)
     with pytest.raises(ValueError):
-        CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=WM, p_d=-0.1)
+        CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=WM, step_duration_s=-0.1)
 
 
 def test_virtual_temperature_equal_bath_fixed_point():

@@ -28,6 +28,7 @@ from thermolight import (
     SpectrumKind,
     beam_radius_at_slit,
     calibrate_power,
+    cycle_rate,
     divergence_half_angle,
     excitation_rate,
     gaussian_angular_radiance,
@@ -37,7 +38,6 @@ from thermolight import (
     mean_occupation,
     mode_area,
     mode_solid_angle,
-    phonon_cooling_rate,
     planck_energy_density,
     planck_irradiance,
     planck_irradiance_per_wavelength,
@@ -86,7 +86,7 @@ CASES = {
        for f in ("omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "a_ps_s", "a_pd_s",
                  "g_e", "g_g", "a_pd_driven_s")},
     **{f"CoolingDrive.{f}": (f, getattr(DRIVE, f), stored(DRIVE, f))
-       for f in ("eta_delivery", "grayness", "p_d")},
+       for f in ("eta_delivery", "grayness", "step_duration_s")},
     **{f"SlitGeometry.{f}": (f, getattr(SLIT, f), stored(SLIT, f))
        for f in ("slit_width_m", "distance_m", "mode_field_radius_m")},
     "FiberModeModel.band_nm": ("band_nm", 400.0, lambda v: FiberModeModel(
@@ -103,8 +103,9 @@ CASES = {
     **{f"excitation_rate.{a}": (a, good, called(excitation_rate, **{
         "a_eg": 4e7, "g_e": 4, "g_g": 6, "omega_eg": W, "rho": 1e-20, a: UNSET}))
        for a, good in (("a_eg", 4e7), ("g_e", 4), ("g_g", 6), ("rho", 1e-20))},
-    **{f"phonon_cooling_rate.{a}": (a, 0.5, called(phonon_cooling_rate, **{
-        "gamma": 10.0, "p_d": 1.0, "eta_sp": 0.74, a: UNSET})) for a in ("gamma", "p_d", "eta_sp")},
+    **{f"cycle_rate.{a}": (a, 0.5, called(cycle_rate, **{
+        "gamma": 10.0, "eta_sp": 0.74, "step_duration_s": 1e-3, "transfer_prob": 1.0, a: UNSET}))
+       for a in ("gamma", "eta_sp", "step_duration_s", "transfer_prob")},
     "calibrate_power.measured_power_w": ("measured_power_w", 1e-6, called(
         calibrate_power, spectrum=SHAPE, measured_power_w=UNSET, band_nm=(400.0, 900.0))),
     "top_hat_area.waist_m": ("waist_m", 1e-5, called(top_hat_area, waist_m=UNSET)),
@@ -190,3 +191,15 @@ def test_bad_array_is_rejected_naming_its_first_bad_element(case, bad):
     named = re.escape(repr(array.tolist()[index]))
     with pytest.raises(ValueError, match=rf"^{label}\[{index}\] must be a finite real in .*, got {named}$"):
         build(array)
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+def test_bool_in_a_list_of_numbers_is_rejected_by_index(case):
+    # np.asarray would read it as 1.0; the list's own element is what is judged
+    label, good, build = ARRAY_CASES[case]
+    build(good.tolist())
+    for bool_ in (True, np.True_):
+        listed = good.tolist()
+        listed[1] = bool_
+        with pytest.raises(ValueError, match=rf"^{label}\[1\] must be a finite real in .*, got {bool_!r}$"):
+            build(listed)
