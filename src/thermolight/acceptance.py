@@ -4,7 +4,9 @@ Each check answers one question about the package against a value computed
 by a different route: closed forms, quadrature, renewal theory, a
 brute-force Markov chain, or a synthetic round trip. `run_all` is shared
 by the test suite and the `check` CLI subcommand. The oracles need numpy
-alone.
+alone. Each criterion imports the optics, ion, simulator and pipeline names
+it checks, so importing this module, as the CLI does, loads only
+radiometry and spectra.
 """
 
 from __future__ import annotations
@@ -15,32 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, K_B
-from .cooling_sim import CycleConfig, ensemble_stats, simulate_ensemble, simulate_trajectory
-from .data_pipeline import (
-    InstrumentResponse,
-    ReferenceSolarSpectrum,
-    SlitGeometry,
-    atmospheric_correction,
-    reduce_spectrum,
-    slit_transmission,
-)
-from .ion_thermo import (
-    BathSet,
-    CoolingDrive,
-    cooling_rate_report,
-    ground_state_occupation,
-    load_ion,
-    virtual_temperature,
-    virtual_temperature_room_limit,
-)
-from .mode_optics import (
-    FiberModeModel,
-    gaussian_angular_radiance,
-    grayness,
-    mode_area,
-    mode_solid_angle,
-    top_hat_area,
-)
 from .radiometry import (
     AngularFrequency,
     Temperature,
@@ -145,6 +121,8 @@ def renewal_slope(gamma: float, eta_sp: float, tau_i: float, transfer_prob: floa
 
 
 def _criterion_1_cooling_rate() -> CriterionResult:
+    from .ion_thermo import CoolingDrive, cooling_rate_report, load_ion
+
     ion = load_ion("ba138p")
     drive = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=AngularFrequency(2.0 * math.pi * 1e6))
     report = cooling_rate_report(ion, drive, Temperature(5800.0))
@@ -160,6 +138,8 @@ def _criterion_1_cooling_rate() -> CriterionResult:
 
 
 def _criterion_2_grayness() -> CriterionResult:
+    from .mode_optics import grayness, top_hat_area
+
     g = grayness(top_hat_area(20e-6), AngularFrequency.from_wavelength_nm(614.0))
     ok = abs(g - 5e-5) <= 0.05 * 5e-5
     return CriterionResult(2, "top-hat grayness", ok, f"G = {g:.4e} vs 5e-5 +-5%")
@@ -187,6 +167,14 @@ def _criterion_3_total_power() -> CriterionResult:
 
 
 def _criterion_4_virtual_temperature() -> CriterionResult:
+    from .ion_thermo import (
+        BathSet,
+        ground_state_occupation,
+        load_ion,
+        virtual_temperature,
+        virtual_temperature_room_limit,
+    )
+
     ion = load_ion("ba138p")
     wm = AngularFrequency(2.0 * math.pi * 1e6)
     t_v = virtual_temperature_room_limit(ion, Temperature(300.0), wm)
@@ -210,6 +198,8 @@ def _criterion_4_virtual_temperature() -> CriterionResult:
 
 
 def _criterion_5_factor_of_four() -> CriterionResult:
+    from .mode_optics import gaussian_angular_radiance
+
     rng = np.random.default_rng(_BASE_SEED + 5)
     worst = 0.0
     for _ in range(100):
@@ -225,6 +215,8 @@ def _criterion_5_factor_of_four() -> CriterionResult:
 
 
 def _criterion_6_radiance_closure() -> CriterionResult:
+    from .mode_optics import FiberModeModel, mode_area, mode_solid_angle
+
     rng = np.random.default_rng(_BASE_SEED + 6)
     band = (300.0, 2000.0)
     models = [
@@ -258,6 +250,8 @@ def _criterion_7_peak_discrimination() -> CriterionResult:
 
 
 def _criterion_8_simulator() -> CriterionResult:
+    from .cooling_sim import CycleConfig, ensemble_stats, simulate_ensemble, simulate_trajectory
+
     details = []
     # slope against the renewal prediction
     cfg = CycleConfig(
@@ -296,6 +290,15 @@ def _criterion_8_simulator() -> CriterionResult:
 
 
 def _criterion_9_pipeline_round_trip() -> CriterionResult:
+    from .data_pipeline import (
+        InstrumentResponse,
+        ReferenceSolarSpectrum,
+        SlitGeometry,
+        atmospheric_correction,
+        reduce_spectrum,
+        slit_transmission,
+    )
+
     t_true = Temperature(5800.0)
     eta_true = 0.72
     band = (400.0, 900.0)

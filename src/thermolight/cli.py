@@ -24,32 +24,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import acceptance as acceptance_mod
-from .constants import NM, TWO_PI_C
-from .cooling_sim import (
-    CycleConfig,
-    ensemble_counters,
-    ensemble_stats,
-    rate_equation_trajectory,
-    simulate_ensemble,
-)
-from .data_pipeline import (
-    InstrumentResponse,
-    ReferenceSolarSpectrum,
-    SlitGeometry,
-    atmospheric_correction,
-    reduce_spectrum,
-)
-from .ion_thermo import (
-    BathSet,
-    CoolingDrive,
-    cooling_rate_report,
-    cycle_rate,
-    ground_state_occupation,
-    load_ion,
-    virtual_temperature,
-    virtual_temperature_room_limit,
-)
-from .mode_optics import FocusGeometry, grayness, top_hat_area
+from .constants import HBAR, K_B, NM, TWO_PI_C
 from .radiometry import (
     DENSITY_BAND_NM,
     AngularFrequency,
@@ -69,7 +44,6 @@ from .spectra import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
-from .svgplot import line_plot
 
 DEFAULT_SEED = 20260825
 # simulate's size ceilings, checked before any simulation: each member keeps its record (a few kB),
@@ -302,6 +276,8 @@ def cmd_spectrum(args) -> dict:
     write_spectrum_csv(csv_path, spectrum)
     svg_path = None
     if args.svg:
+        from .svgplot import line_plot
+
         svg_path = _out_path(args, f"spectrum_{args.family}_per_{args.domain}.svg")
         atomic_write_text(svg_path, line_plot(
             [(grid, values, "")],
@@ -326,6 +302,9 @@ def cmd_spectrum(args) -> dict:
 
 
 def cmd_rate(args) -> dict:
+    from .ion_thermo import CoolingDrive, cooling_rate_report, load_ion
+    from .mode_optics import FocusGeometry, grayness, top_hat_area
+
     _require(args, "ion", "eta", "temperature_k")
     if (args.grayness is None) == (args.waist_um is None):
         raise ValueError("give exactly one of --grayness or --waist-um")
@@ -370,6 +349,14 @@ def cmd_rate(args) -> dict:
 
 
 def cmd_virtual_temp(args) -> dict:
+    from .ion_thermo import (
+        BathSet,
+        ground_state_occupation,
+        load_ion,
+        virtual_temperature,
+        virtual_temperature_room_limit,
+    )
+
     _require(args, "ion", "t_room_k", "t_sun_k", "motion_hz")
     ion = load_ion(args.ion)
     t_sun = Temperature(real_value("--t-sun-k", args.t_sun_k))
@@ -378,8 +365,17 @@ def cmd_virtual_temp(args) -> dict:
     if not wm < ion.omega1_rad_s:  # virtual_temperature's bound; an overflowing 2 pi v fails it too
         raise ValueError(f"--motion-hz must be below the S-D splitting, {ion.omega1_rad_s / (2.0 * math.pi):.4g} Hz, "
                          f"got {args.motion_hz!r}")
+    # each occupation's exponent is hbar w_m / k_B T, with T proportional to w_m: a subnormal factor loses its
+    # digits, and a zero one has no ratio
+    if not HBAR * wm >= sys.float_info.min:
+        raise ValueError(f"--motion-hz must be at least {sys.float_info.min / (2.0 * math.pi * HBAR):.3g} Hz, where "
+                         f"hbar w_m is a normal double, got {args.motion_hz!r}")
     t_v = virtual_temperature(ion, baths, wm)
     t_room_limit = virtual_temperature_room_limit(ion, baths.t_room, wm)
+    if not K_B * t_room_limit.kelvin >= sys.float_info.min:  # T_V is above its room limit, so this checks both
+        raise ValueError(f"--motion-hz {args.motion_hz!r} and --t-room-k {args.t_room_k!r} put the room-limit "
+                         f"virtual temperature at {t_room_limit.kelvin:.3g} K, where k_B T is below the smallest "
+                         f"normal double")
     all_thermal = virtual_temperature(
         ion, BathSet(Temperature.infinite(), baths.t_sun, baths.t_sun), wm
     )
@@ -409,10 +405,11 @@ def cmd_virtual_temp(args) -> dict:
     return out
 
 
-def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
-    """Mean estimate of the rows an ensemble records (see ROWS_ESTIMATE), and the flags of its largest term."""
+def _recorded_rows(cfg, rate: float, trajectories: int) -> tuple:
+    """Mean estimate of the rows an ensemble of CycleConfig cfg and cycle rate `rate` records (see ROWS_ESTIMATE),
+    and the flags of its largest term."""
     heating = cfg.heating_rate * cfg.t_max_s
-    cycles = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob) * cfg.t_max_s
+    cycles = rate * cfg.t_max_s
     n0 = cfg.n_initial
     if n0 + heating >= cycles:
         transfers, flag = cycles, "the cycle rate of --gamma, --eta-sp and --step-duration-s"
@@ -425,6 +422,9 @@ def _recorded_rows(cfg: CycleConfig, trajectories: int) -> tuple:
 
 
 def cmd_simulate(args) -> dict:
+    from .cooling_sim import CycleConfig, ensemble_counters, ensemble_stats, rate_equation_trajectory, simulate_ensemble
+    from .ion_thermo import cycle_rate
+
     _require(args, "gamma", "eta_sp", "step_duration_s", "t_max_s")
     # each field the command sets comes from the flag of its name
     with _flag_names({f.name: "--" + f.name.replace("_", "-") for f in fields(CycleConfig)}):
@@ -447,7 +447,8 @@ def cmd_simulate(args) -> dict:
                          f"{args.trajectories} x {args.grid_points}")
     if args.write_trajectories < 0:
         raise ValueError(f"--write-trajectories must be 0 or more, got {args.write_trajectories}")
-    rows, flag = _recorded_rows(cfg, args.trajectories)
+    rate = cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob)
+    rows, flag = _recorded_rows(cfg, rate, args.trajectories)
     if rows > MAX_RECORDED_ROWS:
         raise ValueError(f"{flag} gives about {rows:.3g} recorded rows over --t-max-s {cfg.t_max_s:g} and "
                          f"--trajectories {args.trajectories}, above the ceiling of {MAX_RECORDED_ROWS:.0e} "
@@ -469,7 +470,7 @@ def cmd_simulate(args) -> dict:
             "n_initial": cfg.n_initial, "t_max_s": cfg.t_max_s, "seed": cfg.seed,
             "trajectories": args.trajectories,
         },
-        "renewal_slope_per_s": -cycle_rate(cfg.gamma, cfg.eta_sp, cfg.step_duration_s, cfg.transfer_prob),
+        "renewal_slope_per_s": -rate,
         "stats": stats.to_summary_dict(),
         "counters": ensemble_counters(trajectories),
     }
@@ -478,6 +479,8 @@ def cmd_simulate(args) -> dict:
     atomic_write_text(files["rate_equation"], csv_text("time_s,n", map(repr, ode.times_s.tolist()),
                                                        map(repr, ode.n.tolist())))
     if args.svg:
+        from .svgplot import line_plot
+
         files["svg"] = _out_path(args, "simulate.svg")
         atomic_write_text(files["svg"], line_plot(
             [
@@ -494,6 +497,14 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_reduce(args) -> dict:
+    from .data_pipeline import (
+        InstrumentResponse,
+        ReferenceSolarSpectrum,
+        SlitGeometry,
+        atmospheric_correction,
+        reduce_spectrum,
+    )
+
     _require(args, "raw", "response", "power_w", "temperature_k")
     band = _band_flag(args.band_nm)
     t = Temperature(real_value("--temperature-k", args.temperature_k))

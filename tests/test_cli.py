@@ -257,7 +257,7 @@ def test_simulate_validates_before_simulating(tmp_path, monkeypatch, capsys):
     def no_ensemble(*args, **kwargs):
         raise AssertionError("an ensemble was simulated before the flags were checked")
 
-    monkeypatch.setattr(cli, "simulate_ensemble", no_ensemble)
+    monkeypatch.setattr("thermolight.cooling_sim.simulate_ensemble", no_ensemble)  # cmd_simulate imports it per call
     for bad in (["--grid-points", "1"], ["--trajectories", "1"]):
         code = cli.main([
             "simulate", "--gamma", "11.06", "--eta-sp", "0.74",
@@ -288,7 +288,7 @@ def test_simulate_refuses_sizes_above_the_ceiling(tmp_path, monkeypatch, capsys,
     def no_ensemble(*args, **kwargs):
         raise AssertionError("an ensemble was simulated before the sizes were checked")
 
-    monkeypatch.setattr(cli, "simulate_ensemble", no_ensemble)
+    monkeypatch.setattr("thermolight.cooling_sim.simulate_ensemble", no_ensemble)  # cmd_simulate imports it per call
     out = tmp_path / "out"
     run_main_refused(["simulate", "--gamma", "11.06", "--eta-sp", "0.74", "--step-duration-s", "1e-3",
                       "--t-max-s", "0.1", "--out", str(out), *sizes], capsys, flag)
@@ -305,7 +305,7 @@ def test_simulate_takes_a_fast_cycle_below_the_row_ceiling(tmp_path, monkeypatch
     def sentinel(*args, **kwargs):
         raise Simulated
 
-    monkeypatch.setattr(cli, "simulate_ensemble", sentinel)
+    monkeypatch.setattr("thermolight.cooling_sim.simulate_ensemble", sentinel)  # cmd_simulate imports it per call
     # t_max/tau_I would count 2e6 transfers per member; at the cycle rate of about 6.9e3/s there are
     # 1.4e5, and the ensemble records about 6.5e5 rows
     with pytest.raises(Simulated):
@@ -636,8 +636,16 @@ def test_reduce_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     # finite in Hz: 2 pi v overflows, or passes the S-D splitting
     (["--motion-hz", "1e308"], "--motion-hz must be below the S-D splitting, 1.701e+14 Hz, got 1e+308"),
     (["--motion-hz", "1e16"], "--motion-hz must be below the S-D splitting, 1.701e+14 Hz, got 1e+16"),
+    # positive in Hz, but k_B T_V underflows to 0 (a ZeroDivisionError in its beta), or T_V itself does
+    (["--motion-hz", "1e-300"], "--motion-hz must be at least 3.36e-275 Hz, where hbar w_m is a normal double, "
+                                "got 1e-300"),
+    (["--motion-hz", "5e-324"], "--motion-hz must be at least 3.36e-275 Hz, where hbar w_m is a normal double, "
+                                "got 5e-324"),
+    # hbar w_m is normal, but k_B T of the room limit is subnormal and its occupation would lose its digits
+    (["--motion-hz", "1e-274"], "--motion-hz 1e-274 and --t-room-k 300.0 put the room-limit virtual temperature "
+                                "at 4.56e-287 K, where k_B T is below the smallest normal double"),
 ], ids=["negative-motion", "negative-room", "negative-sun", "infinite-room", "overflowing-motion",
-        "motion-above-splitting"])
+        "motion-above-splitting", "underflowing-motion", "smallest-motion", "subnormal-room-limit"])
 def test_virtual_temp_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     argv = ["virtual-temp", "--ion", "ba138p", "--t-room-k", "300", "--t-sun-k", "5800", "--motion-hz", "1e6"]
