@@ -370,12 +370,15 @@ def cmd_virtual_temp(args) -> dict:
     if not HBAR * wm >= sys.float_info.min:
         raise ValueError(f"--motion-hz must be at least {sys.float_info.min / (2.0 * math.pi * HBAR):.3g} Hz, where "
                          f"hbar w_m is a normal double, got {args.motion_hz!r}")
+    # T_V is above its room limit (w_m/omega3) T_room, so this checks both; checked before either is computed,
+    # since below it omega3/T_room can overflow and T_V round to 0 K
+    room_limit_k = wm / ion.omega3_rad_s * baths.t_room.kelvin
+    if not K_B * room_limit_k >= sys.float_info.min:
+        raise ValueError(f"--motion-hz {args.motion_hz!r} and --t-room-k {args.t_room_k!r} put the room-limit "
+                         f"virtual temperature at {room_limit_k:.3g} K, where k_B T is below the smallest "
+                         f"normal double")
     t_v = virtual_temperature(ion, baths, wm)
     t_room_limit = virtual_temperature_room_limit(ion, baths.t_room, wm)
-    if not K_B * t_room_limit.kelvin >= sys.float_info.min:  # T_V is above its room limit, so this checks both
-        raise ValueError(f"--motion-hz {args.motion_hz!r} and --t-room-k {args.t_room_k!r} put the room-limit "
-                         f"virtual temperature at {t_room_limit.kelvin:.3g} K, where k_B T is below the smallest "
-                         f"normal double")
     all_thermal = virtual_temperature(
         ion, BathSet(Temperature.infinite(), baths.t_sun, baths.t_sun), wm
     )

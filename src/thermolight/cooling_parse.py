@@ -56,10 +56,11 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
     With no heating a run's draws follow a grammar of the uniforms alone: a transfer draw T at each
     interval start (success when u < p); after a success, pairs of an excitation wait W and a
     branching draw B until some B has u < eta_SP. T moves the clock by tau_I, W by -log1p(-u)/Gamma
-    (math.log1p, as the event loop: numpy's SIMD log1p rounds differently), B not at all; the
-    running sum along a row adds them in the event loop's order, so the times are its times bit for
-    bit. Returns whether each member's run ended within its stream, and the finished members' runs
-    as _event_runs lays them out (times, n, tags, end rows, counters). Spends u.
+    (math.log1p, as the event loop: numpy's log1p rounds as the CPU's SIMD features have it, see
+    cooling_sim), B not at all; the running sum along a row adds them in the event loop's order, so
+    the times are its times bit for bit. Returns whether each member's run ended within its stream,
+    and the finished members' runs as _event_runs lays them out (times, n, tags, end rows,
+    counters). Spends u.
     """
     (m, span), k = u.shape, u.shape[1] - 3
     n0, p, eta_sp = cfg.n_initial, cfg.transfer_prob, cfg.eta_sp

@@ -12,10 +12,15 @@ the config's seed (an ensemble computes all its members' states in one
 pass), read BLOCK values at a time. Every draw takes the next u of the
 stream. A wait at rate r is the inversion -log(1 - u)/r (Devroye 1986,
 sec. II.2), a Bernoulli of probability p succeeds when u < p. The block
-size changes no draw, and a trajectory is
-bit-reproducible from (config, seed). The uniforms feed, in this order
-within a cycle (a transfer probability p below 1 spends no extra draw, so
-the stream order is the same for every p):
+size changes no draw, and a trajectory is bit-reproducible from (config,
+seed). Both kernels compute a wait with math.log1p, not numpy's log1p or
+log: numpy picks SIMD code by the CPU's features, so a stream built on it
+would change with the CPU. With numpy 2.4 on an AVX-512 Xeon, np.log1p
+differs from math.log1p on about 7% of uniforms and np.log from math.log
+on about 0.3%; with those features disabled (NPY_DISABLE_CPU_FEATURES)
+both agree exactly. The uniforms feed, in this order within a cycle (a
+transfer probability p below 1 spends no extra draw, so the stream order
+is the same for every p):
 
 1. at n = 0 with h > 0, one heating wait, which skips the empty intervals
    before it and is used as the first heating wait of the interval it

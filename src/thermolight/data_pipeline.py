@@ -30,7 +30,14 @@ from .radiometry import (
     real_value,
     real_values,
 )
-from .spectra import PER_WAVELENGTH_TWIN, SampledSpectrum, SpectrumKind, convert_spectral_domain, read_spectrum_columns
+from .spectra import (
+    PER_WAVELENGTH_TWIN,
+    SampledSpectrum,
+    SpectrumKind,
+    convert_spectral_domain,
+    read_spectrum_columns,
+    spectrum_from_rows,
+)
 
 
 class FitConvergenceError(RuntimeError):
@@ -43,10 +50,10 @@ class _FixedKindSpectrum(SampledSpectrum):
     @classmethod
     def from_csv(cls, path):
         """Read a spectrum CSV of the class's kind; a file with no kind line is taken to be one."""
-        wavelengths_nm, values, kind = read_spectrum_columns(path, default_kind=cls.kind)
+        wavelengths_nm, values, kind, linenos = read_spectrum_columns(path, default_kind=cls.kind)
         if kind != cls.kind:
             raise ValueError(f"{path}: file is of kind {kind.value!r}, expected {cls.kind.value!r}")
-        return cls(wavelengths_nm, values)
+        return spectrum_from_rows(path, linenos, cls, wavelengths_nm, values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +269,8 @@ def extract_efficiency(
 
 # -- temperature fitting -------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# the golden-section fraction of a bracket: Brent's step where no parabola is trusted
+_GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -279,13 +287,18 @@ _FIT_MODELS = {"q1d": q1d_psd_per_wavelength_on_grid, "3d": planck_irradiance_pe
 
 
 def fit_temperature(spectrum: SampledSpectrum, model: str = "q1d") -> TemperatureFit:
-    """Golden-section search on T in 1000-20000 K, the amplitude solved linearly at each step.
+    """Brent's method on T in 1000-20000 K, the amplitude solved linearly at each step.
 
-    Needs at least 20 samples spanning a factor 1.5 in wavelength. The
-    search shrinks the fixed bracket to 1e-7 relative, which takes 34 to 40
-    steps whatever the data. Raises FitConvergenceError if the minimum sits
-    at a bracket edge (degenerate shape) or the amplitude is not positive.
-    A residual above 0.05 sets `flagged`.
+    Needs at least 20 samples spanning a factor 1.5 in wavelength. Each
+    step fits a parabola through the three best points so far and, where
+    the parabola is not trusted, takes a golden-section step instead
+    (Brent 1973, ch. 5). The search stops when T is within 5e-8 relative of
+    the bracketed minimum, as the midpoint of a golden-section bracket
+    shrunk to 1e-7 relative is; that takes 10 to 16 steps on smooth
+    spectra, where golden section alone took 34 to 40. Raises
+    FitConvergenceError if the minimum sits at a bracket edge (degenerate
+    shape) or the amplitude is not positive. A residual above 0.05 sets
+    `flagged`.
     """
     if spectrum.kind in PER_WAVELENGTH_TWIN:
         spectrum = convert_spectral_domain(spectrum, PER_WAVELENGTH_TWIN[spectrum.kind])
@@ -308,41 +321,74 @@ def fit_temperature(spectrum: SampledSpectrum, model: str = "q1d") -> Temperatur
         mm = float(np.dot(m, m))
         if mm == 0.0:
             return math.inf, 0.0
-        a = float(np.dot(m, y) / mm)
-        r = y - a * m
-        return float(np.dot(r, r)), a
+        amplitude = float(np.dot(m, y) / mm)
+        r = y - amplitude * m
+        return float(np.dot(r, r)), amplitude
 
-    a_k, b_k = lo, hi
-    c_k = b_k - _GOLDEN * (b_k - a_k)
-    d_k = a_k + _GOLDEN * (b_k - a_k)
-    f_c, _ = misfit(c_k)
-    f_d, _ = misfit(d_k)
+    # [a, b] brackets the minimum; x is the best point, w the second best, v the previous w
+    a, b = lo, hi
+    x = w = v = a + _GOLDEN_STEP * (b - a)
+    f_x, amp_x = misfit(x)
+    f_w = f_v = f_x
+    step = last = 0.0  # this step's length and the one before it
     iterations = 0
-    while (b_k - a_k) > 1e-7 * (a_k + b_k) / 2.0:
+    while True:
+        mid = 0.5 * (a + b)
+        tol = 2.5e-8 * x
+        if abs(x - mid) <= 2.0 * tol - 0.5 * (b - a):  # a and b both within 2 tol = 5e-8 x of x
+            break
         iterations += 1
-        if f_c < f_d:
-            b_k, d_k, f_d = d_k, c_k, f_c
-            c_k = b_k - _GOLDEN * (b_k - a_k)
-            f_c, _ = misfit(c_k)
+        golden = True
+        if abs(last) > tol:
+            # the vertex of the parabola through (x, f_x), (w, f_w), (v, f_v), as x + p/q
+            r = (x - w) * (f_x - f_v)
+            q = (x - v) * (f_x - f_w)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # trusted if it lands inside the bracket and moves less than half the step before last
+            if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                last, step = step, p / q
+                golden = False
+                if (x + step) - a < 2.0 * tol or b - (x + step) < 2.0 * tol:
+                    step = math.copysign(tol, mid - x)  # no closer to an end than the tolerance
+        if golden:
+            last = (a - x) if x >= mid else (b - x)
+            step = _GOLDEN_STEP * last
+        u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+        f_u, amp_u = misfit(u)
+        if f_u <= f_x:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, f_v, w, f_w = w, f_w, x, f_x
+            x, f_x, amp_x = u, f_u, amp_u
         else:
-            a_k, c_k, f_c = c_k, d_k, f_d
-            d_k = a_k + _GOLDEN * (b_k - a_k)
-            f_d, _ = misfit(d_k)
-    t_best = 0.5 * (a_k + b_k)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if f_u <= f_w or w == x:
+                v, f_v, w, f_w = w, f_w, u, f_u
+            elif f_u <= f_v or v == x or v == w:
+                v, f_v = u, f_u
+    t_best = x
     span = hi - lo
     if t_best - lo < 1e-3 * span or hi - t_best < 1e-3 * span:
         raise FitConvergenceError(
             f"best-fit temperature {t_best:.4g} K pinned at the bracket edge; "
             "spectrum shape is not thermal in the searched range"
         )
-    ssr, amplitude = misfit(t_best)
-    if amplitude <= 0.0:
+    if amp_x <= 0.0:
         raise FitConvergenceError("degenerate fit: non-positive amplitude")
-    residual = math.sqrt(ssr / wl.size) / y_norm
+    residual = math.sqrt(f_x / wl.size) / y_norm
     return TemperatureFit(
         temperature=Temperature(t_best),
         residual=residual,
-        amplitude=amplitude,
+        amplitude=amp_x,
         iterations=iterations,
         flagged=residual > 0.05,
     )

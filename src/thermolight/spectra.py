@@ -7,8 +7,15 @@ kind conversion share one quadrature rule and conserve power to rounding.
 CSV format: optional comment lines starting with '#', one of which names
 the kind as '# kind=<kind>' (required unless the reader is given a default
 kind), then a 'wavelength_nm,value' header and data rows. UTF-8, LF line
-endings; the reader also takes CRLF, and comments, blank lines and headers
-anywhere in the file.
+endings; the reader also takes a byte-order mark, CRLF, and comments, blank
+lines and headers anywhere in the file.
+
+The reader parses every line after the leading comment, blank and header
+lines as a data row, a block of rows at a time with no Python work per line.
+Only a file whose rows are interleaved with other lines, or that has a bad
+row, is read again a line at a time, which takes the same rows and names the
+first bad one as path:lineno. A sample the spectrum refuses (a negative or
+NaN value, a wavelength that does not increase) is named by its row too.
 """
 
 from __future__ import annotations
@@ -165,6 +172,32 @@ def write_spectrum_csv(path: "str | os.PathLike", spectrum: SampledSpectrum) -> 
 _PARSE_BLOCK = 128
 
 
+def _classify(line: str, kind):
+    """(kind, is_row) for a stripped line: a '# kind=' comment sets the kind; comments, blank lines and headers
+    are not rows."""
+    if line.startswith("#"):
+        body = line[1:].strip()
+        if body.startswith("kind="):
+            kind = body[len("kind="):].strip()
+        return kind, False
+    # only a line starting with w or W can be the header
+    return kind, bool(line) and not (line[0] in "wW" and line.lower().replace(" ", "") == "wavelength_nm,value")
+
+
+def _parse_rows(rows: list) -> np.ndarray:
+    """Rows of two numbers as one array [x0, v0, x1, v1, ...]; ValueError if a row is not two numbers."""
+    table = np.empty(2 * len(rows))
+    for start in range(0, len(rows), _PARSE_BLOCK):
+        block = rows[start:start + _PARSE_BLOCK]
+        # rows joined by an empty field, which stays in every third place only if each row has two fields
+        fields = ",,".join(block).split(",")
+        if len(fields) != 3 * len(block) - 1 or any(fields[2::3]):
+            raise ValueError("a row without two fields")
+        del fields[2::3]
+        table[2 * start:2 * start + len(fields)] = list(map(float, fields))
+    return table
+
+
 def _raise_bad_row(path, rows: list, linenos: list) -> None:
     """Raise for the first row that is not two numbers, naming its path:lineno."""
     for lineno, line in zip(linenos, rows):
@@ -177,50 +210,85 @@ def _raise_bad_row(path, rows: list, linenos: list) -> None:
             raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
 
 
-def read_spectrum_columns(
-    path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None
-) -> "tuple[np.ndarray, np.ndarray, SpectrumKind]":
-    """Wavelengths, values and kind of a spectrum CSV, not yet checked as a spectrum (see the module docstring)."""
-    kind = default_kind
-    rows, linenos = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if line.startswith("#"):
-                    body = line[1:].strip()
-                    if body.startswith("kind="):
-                        kind = body[len("kind="):].strip()
-                # only a line starting with w or W can be the header
-                elif line and not (line[0] in "wW" and line.lower().replace(" ", "") == "wavelength_nm,value"):
-                    rows.append(line)
-                    linenos.append(lineno)
-        except UnicodeDecodeError:
-            _raise_bad_row(path, rows, linenos)  # a bad row before the undecodable bytes is reported first
-            raise
-    table = np.empty(2 * len(rows))
-    for start in range(0, len(rows), _PARSE_BLOCK):
-        block = rows[start:start + _PARSE_BLOCK]
-        # rows joined by an empty field, which stays in every third place only if each row has two fields
-        fields = ",,".join(block).split(",")
-        try:
-            if len(fields) != 3 * len(block) - 1 or any(fields[2::3]):
-                raise ValueError("a row without two fields")
-            del fields[2::3]
-            table[2 * start:2 * start + len(fields)] = list(map(float, fields))
-        except ValueError:
-            _raise_bad_row(path, block, linenos[start:])
+def _columns(path, table: np.ndarray, kind, linenos):
+    """read_spectrum_columns' result from a parsed table, after the checks that concern the whole file."""
     if kind is None:
         raise ValueError(f"{path}: missing '# kind=<kind>' header comment")
     try:
         kind_enum = SpectrumKind(kind)
     except ValueError:
         raise ValueError(f"{path}: unknown spectrum kind {kind!r}") from None
-    if len(rows) < 2:
+    if len(linenos) < 2:
         raise ValueError(f"{path}: need at least two data rows")
-    return table[0::2], table[1::2], kind_enum
+    return table[0::2], table[1::2], kind_enum, linenos
+
+
+def _read_lines(path, default_kind):
+    """read_spectrum_columns one line at a time, for a file whose rows are interleaved with other lines, or bad."""
+    kind = default_kind
+    rows, linenos = [], []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                kind, is_row = _classify(line, kind)
+                if is_row:
+                    rows.append(line)
+                    linenos.append(lineno)
+        except UnicodeDecodeError:
+            _raise_bad_row(path, rows, linenos)  # a bad row before the undecodable bytes is reported first
+            raise
+    try:
+        table = _parse_rows(rows)
+    except ValueError:
+        _raise_bad_row(path, rows, linenos)
+    return _columns(path, table, kind, linenos)
+
+
+def read_spectrum_columns(
+    path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None
+) -> "tuple[np.ndarray, np.ndarray, SpectrumKind, range | list[int]]":
+    """Wavelengths, values, kind and row line numbers of a spectrum CSV, not yet checked as a spectrum.
+
+    Read whole and parsed in blocks (see the module docstring); a file that a block fails on, or whose bytes are
+    not UTF-8, goes to _read_lines.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        return _read_lines(path, default_kind)
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, not a line
+    kind = default_kind
+    first = 0
+    for line in lines:
+        kind, is_row = _classify(line.strip(), kind)
+        if is_row:
+            break
+        first += 1
+    try:
+        table = _parse_rows(lines[first:])
+    except ValueError:
+        return _read_lines(path, default_kind)
+    return _columns(path, table, kind, range(first + 1, len(lines) + 1))
+
+
+def spectrum_from_rows(path, linenos, make, wavelengths_nm, values, *rest):
+    """make(wavelengths_nm, values, *rest), read from path's rows at linenos; a refusal of a sample is prefixed
+    with its row's path:lineno."""
+    try:
+        return make(wavelengths_nm, values, *rest)
+    except ValueError as exc:
+        wl, v = wavelengths_nm, values
+        # the samples SampledSpectrum refuses, check by check in its order
+        for bad in (~(np.isfinite(wl) & (wl > 0.0)), ~(np.isfinite(v) & (v >= 0.0)), np.diff(wl, prepend=-np.inf) <= 0):
+            if bad.any():
+                raise ValueError(f"{path}:{linenos[int(bad.argmax())]}: {exc}") from None
+        raise
 
 
 def read_spectrum_csv(path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None) -> SampledSpectrum:
     """Read a spectrum CSV; without a '# kind=' comment the kind is default_kind, if given."""
-    return SampledSpectrum(*read_spectrum_columns(path, default_kind))
+    wavelengths_nm, values, kind, linenos = read_spectrum_columns(path, default_kind)
+    return spectrum_from_rows(path, linenos, SampledSpectrum, wavelengths_nm, values, kind)

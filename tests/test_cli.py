@@ -644,13 +644,30 @@ def test_reduce_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     # hbar w_m is normal, but k_B T of the room limit is subnormal and its occupation would lose its digits
     (["--motion-hz", "1e-274"], "--motion-hz 1e-274 and --t-room-k 300.0 put the room-limit virtual temperature "
                                 "at 4.56e-287 K, where k_B T is below the smallest normal double"),
+    # positive in K, but omega3/T_room overflows, so T_V would be 0 K
+    (["--t-room-k", "1e-300"], "--motion-hz 1000000.0 and --t-room-k 1e-300 put the room-limit virtual temperature "
+                               "at 1.52e-309 K, where k_B T is below the smallest normal double"),
+    (["--t-room-k", "1e-310"], "--motion-hz 1000000.0 and --t-room-k 1e-310 put the room-limit virtual temperature "
+                               "at 1.52e-319 K, where k_B T is below the smallest normal double"),
 ], ids=["negative-motion", "negative-room", "negative-sun", "infinite-room", "overflowing-motion",
-        "motion-above-splitting", "underflowing-motion", "smallest-motion", "subnormal-room-limit"])
+        "motion-above-splitting", "underflowing-motion", "smallest-motion", "subnormal-room-limit",
+        "overflowing-room-ratio", "subnormal-room"])
 def test_virtual_temp_names_the_flag_of_a_bad_value(tmp_path, capsys, flags, named):
     out = tmp_path / "out"
     argv = ["virtual-temp", "--ion", "ba138p", "--t-room-k", "300", "--t-sun-k", "5800", "--motion-hz", "1e6"]
     run_main_refused([*argv, *flags, "--out", str(out)], capsys, named)
     assert not out.exists()
+
+
+def test_reduce_names_the_row_of_a_refused_count(tmp_path, capsys):
+    argv = write_reduce_inputs(tmp_path)
+    raw = tmp_path / "raw.csv"
+    lines = raw.read_text().splitlines(keepends=True)
+    lines[3] = lines[3].split(",")[0] + ",-2.0\n"  # the second data row
+    raw.write_text("".join(lines))
+    run_main_refused([*argv, "--out", str(tmp_path / "out")], capsys,
+                     f"{raw}:4: values[1] must be a finite real in [0, inf), got -2.0")
+    assert not (tmp_path / "out").exists()
 
 
 def test_reduce_reads_a_reference_file(tmp_path, capsys):

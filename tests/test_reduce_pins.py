@@ -60,12 +60,12 @@ def test_reduce_outputs_are_pinned(tmp_path, capsys):
                      "--power-w", "2.5e-9", "--temperature-k", "5750", "--out", str(out), "--json"])
     assert code == 0, capsys.readouterr().err
     files = [(out / name).read_bytes() for name in ("calibrated_psd.csv", "efficiency.csv", "fit_report.json")]
-    assert sha(*files) == "8c3b787571e69a7a11549b4d7b3a4a6ac1898f92b86f74f90671f5ebfb2079ee"
+    assert sha(*files) == "c621ca6a3ea4f0545d398ff13dd4a4b8fed86aa2d81b90bf0e8405ae3a7e5a13"
 
 
 @pytest.mark.parametrize("model, want", [
-    ("q1d", "8764620ff126b90b3b7b2b198fe2094b1d8c0a58651b68d8917f87783e268441"),
-    ("3d", "6cd0e2e6dc5b4355890ecffc5875dc02b236eac20e9f3ae24e8cfc19d1d46cd9"),
+    ("q1d", "880f244ca30879240ccb9c964b65a798c6899d8f7f1db4b1eb71e791f1fd6537"),
+    ("3d", "a808ead0590c64d64f23f8e6834100f55d2b56994522e810d708bc88dc8f1c55"),
 ])
 def test_fit_temperature_is_pinned(model, want):
     grid = np.linspace(400.0, 900.0, 357)

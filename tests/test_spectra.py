@@ -17,7 +17,7 @@ from thermolight import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
-from thermolight.spectra import atomic_write_text, spectrum_to_csv_text
+from thermolight.spectra import _read_lines, atomic_write_text, read_spectrum_columns, spectrum_to_csv_text
 
 C = 299792458.0
 
@@ -252,6 +252,77 @@ def test_csv_reader_refuses_bytes_that_are_not_utf8(tmp_path):
         read_spectrum_csv(path)
     assert not isinstance(info.value, UnicodeDecodeError)
     assert str(info.value) == f"{path}:2: non-numeric row '400.0,x'"
+
+
+def test_csv_reader_reads_past_a_byte_order_mark(tmp_path):
+    for name, text in [("bulk.csv", _HEAD + "400.0,1.0\n500.0,2.5\n"),
+                       ("lines.csv", _HEAD + "400.0,1.0\n# between rows\n500.0,2.5\n")]:
+        s = read_spectrum_csv(_write(tmp_path, "\ufeff" + text, name))
+        assert s.kind == SpectrumKind.COUNTS
+        assert s.values.tolist() == [1.0, 2.5]
+
+
+@pytest.mark.parametrize("between", ["", "# a comment between rows\n"], ids=["bulk", "lines"])
+@pytest.mark.parametrize("rows, lineno, message", [
+    (["400.0,1.0", "450.0,-2.0", "500.0,3.0"], 4, "values[1] must be a finite real in [0, inf), got -2.0"),
+    (["400.0,1.0", "450.0,2.0", "500.0,nan"], 5, "values[2] must be a finite real in [0, inf), got nan"),
+    (["-400.0,1.0", "450.0,2.0", "500.0,3.0"], 3, "wavelengths_nm[0] must be a finite real in (0, inf), got -400.0"),
+    (["400.0,1.0", "450.0,2.0", "450.0,3.0", "440.0,4.0"], 5, "wavelength grid must be strictly increasing"),
+], ids=["negative-value", "nan-value", "negative-wavelength", "repeated-wavelength"])
+def test_csv_reader_names_the_row_of_a_refused_sample(tmp_path, rows, lineno, message, between):
+    # a comment between the first two rows moves every later row down a line
+    path = _write(tmp_path, _HEAD + rows[0] + "\n" + between + "\n".join(rows[1:]) + "\n")
+    if between and lineno > 3:
+        lineno += 1
+    with pytest.raises(ValueError) as info:
+        read_spectrum_csv(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
+    assert info.value.__cause__ is None
+
+
+def test_response_refusals_name_the_row(tmp_path):
+    path = _write(tmp_path, "wavelength_nm,value\n400.0,0.5\n500.0,nan\n600.0,0.7\n")
+    with pytest.raises(ValueError) as info:
+        InstrumentResponse.from_csv(path)
+    assert str(info.value) == f"{path}:3: values[1] must be a finite real in [0, inf), got nan"
+
+
+_layout_lines = st.one_of(
+    st.sampled_from(["# kind=counts", "#kind= ratio ", "# kind=photons", "# a note, with a comma", "", "  \t",
+                     "wavelength_nm,value", "Wavelength_NM, Value", "500.0", "1,2,3", "abc,1", "1,", " ,2"]),
+    st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True), st.sampled_from(["", " ", "\t"])).map(
+        lambda r: f"{r[2]}{r[0]!r},{r[2]}{r[1]!r}{r[2]}"),
+)
+_rows = st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)).map(lambda r: f"{r[0]!r},{r[1]!r}")
+
+
+@settings(deadline=None)
+@given(
+    head=st.lists(st.sampled_from(["# kind=counts", " # kind=ratio", "# comment", "", " \t", "wavelength_nm,value"]),
+                  max_size=4),
+    body=st.lists(st.one_of(_rows, _rows, _rows, _layout_lines), max_size=12),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    last_newline=st.booleans(),
+    bom=st.booleans(),
+    default_kind=st.sampled_from([None, SpectrumKind.RATIO]),
+)
+def test_bulk_reader_matches_the_line_loop(tmp_path_factory, head, body, newline, last_newline, bom, default_kind):
+    text = ("\ufeff" if bom else "") + newline.join(head + body) + (newline if last_newline else "")
+    path = tmp_path_factory.mktemp("layout") / "s.csv"
+    path.write_bytes(text.encode("utf-8"))
+    results = []
+    for read in (read_spectrum_columns, _read_lines):
+        try:
+            results.append(read(path, default_kind))
+        except ValueError as exc:
+            results.append((type(exc), str(exc)))
+    bulk, lines = results
+    if isinstance(lines[0], type):
+        assert bulk == lines
+    else:
+        wl, values, kind, linenos = bulk
+        assert (wl.tobytes(), values.tobytes(), kind, list(linenos)) == (
+            lines[0].tobytes(), lines[1].tobytes(), lines[2], list(lines[3]))
 
 
 _finite_values = st.one_of(
