@@ -21,6 +21,7 @@ import numpy as np
 
 from .constants import NM
 from .radiometry import (
+    ElementError,
     Temperature,
     as_temperature,
     planck_irradiance_per_wavelength,
@@ -64,8 +65,9 @@ class InstrumentResponse(_FixedKindSpectrum):
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.values <= 0.0):
-            raise ValueError("response values must be strictly positive")
+        not_positive = self.values <= 0.0
+        if not_positive.any():
+            raise ElementError("response values must be strictly positive", int(not_positive.argmax()))
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,10 @@ class ReferenceSolarSpectrum(_FixedKindSpectrum):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.wavelengths_nm[0] > 350.0 or self.wavelengths_nm[-1] < 1100.0:
-            raise ValueError("reference spectrum must cover at least [350, 1100] nm")
+        wl = self.wavelengths_nm
+        if wl[0] > 350.0 or wl[-1] < 1100.0:
+            short_edge = 0 if wl[0] > 350.0 else wl.size - 1
+            raise ElementError("reference spectrum must cover at least [350, 1100] nm", short_edge)
 
     @classmethod
     def load_bundled(cls) -> "ReferenceSolarSpectrum":

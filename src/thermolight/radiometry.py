@@ -49,6 +49,14 @@ def is_real(v) -> bool:
     return isinstance(v, _REALS) and type(v) is not bool
 
 
+class ElementError(ValueError):
+    """A refusal of one element of an array; index is its position in C order."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 def real_value(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo: bool = True) -> float:
     """v as a float if it is a finite real in (lo, hi], or in [lo, hi] when open_lo is False."""
     try:
@@ -64,7 +72,8 @@ def real_values(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo
     """real_value for a scalar; an array, as float64 and uncopied if it is float64, if each element passes real_value.
 
     An array of bools, complex numbers, strings or objects fails whatever it holds, and so does a bool in a
-    sequence of numbers. A refusal names the first element that fails as label[i], i its index in C order.
+    sequence of numbers. A refusal names the first element that fails as label[i], i its index in C order, in
+    an ElementError carrying i.
     """
     if not np.ndim(v):
         return real_value(label, v, lo, hi, open_lo=open_lo)
@@ -79,7 +88,10 @@ def real_values(label: str, v, lo: float = 0.0, hi: float = math.inf, *, open_lo
         bad = np.ones(a.shape, dtype=bool)
     if bad.any():
         i = int(bad.argmax())
-        real_value(f"{label}[{i}]", items.item(i), lo, hi, open_lo=open_lo)  # raises, unless an object holds a real
+        try:
+            real_value(f"{label}[{i}]", items.item(i), lo, hi, open_lo=open_lo)  # raises, unless an object holds a real
+        except ValueError as exc:
+            raise ElementError(str(exc), i) from None
         raise ValueError(f"{label} must be an array of real numbers, got one of dtype {a.dtype}")
     return a.astype(float, copy=False)
 

@@ -10,12 +10,13 @@ kind), then a 'wavelength_nm,value' header and data rows. UTF-8, LF line
 endings; the reader also takes a byte-order mark, CRLF, and comments, blank
 lines and headers anywhere in the file.
 
-The reader parses every line after the leading comment, blank and header
-lines as a data row, a block of rows at a time with no Python work per line.
-Only a file whose rows are interleaved with other lines, or that has a bad
-row, is read again a line at a time, which takes the same rows and names the
-first bad one as path:lineno. A sample the spectrum refuses (a negative or
-NaN value, a wavelength that does not increase) is named by its row too.
+The reader reads a file whole and parses the lines from the first data row
+on a block at a time, each as a data row, with no Python work per line.
+From the first block that holds another line, or a bad row, it goes on a
+line at a time, keeping the blocks before it: that takes the same rows and
+names the first bad one as path:lineno. A
+sample the spectrum refuses (a negative or NaN value, a wavelength that does
+not increase, a response that is not positive) is named by its row too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radiometry import domega_dlambda, real_values
+from .radiometry import ElementError, domega_dlambda, real_values
 
 
 class SpectrumKind(str, enum.Enum):
@@ -69,8 +70,9 @@ class SampledSpectrum:
         v = real_values("values", self.values, open_lo=False)
         if np.shape(v) != wl.shape:
             raise ValueError(f"values shape {np.shape(v)} does not match grid shape {wl.shape}")
-        if np.any(np.diff(wl) <= 0.0):
-            raise ValueError("wavelength grid must be strictly increasing")
+        not_increasing = np.diff(wl) <= 0.0
+        if not_increasing.any():
+            raise ElementError("wavelength grid must be strictly increasing", int(not_increasing.argmax()) + 1)
         kind = SpectrumKind(self.kind)
         wl = wl.copy()
         v = v.copy()
@@ -172,30 +174,30 @@ def write_spectrum_csv(path: "str | os.PathLike", spectrum: SampledSpectrum) -> 
 _PARSE_BLOCK = 128
 
 
-def _classify(line: str, kind):
-    """(kind, is_row) for a stripped line: a '# kind=' comment sets the kind; comments, blank lines and headers
-    are not rows."""
-    if line.startswith("#"):
-        body = line[1:].strip()
-        if body.startswith("kind="):
-            kind = body[len("kind="):].strip()
-        return kind, False
-    # only a line starting with w or W can be the header
-    return kind, bool(line) and not (line[0] in "wW" and line.lower().replace(" ", "") == "wavelength_nm,value")
+def _parse_block(rows: list) -> list:
+    """At most _PARSE_BLOCK rows of two numbers as one list [x0, v0, x1, v1, ...]; ValueError if a row is not."""
+    # rows joined by an empty field, which stays in every third place only if each row has two fields; a count
+    # of the commas refuses most other lines before the split
+    text = ",,".join(rows)
+    if text.count(",") != 3 * len(rows) - 2:
+        raise ValueError("a row without two fields")
+    fields = text.split(",")
+    if any(fields[2::3]):
+        raise ValueError("a row without two fields")
+    del fields[2::3]
+    return list(map(float, fields))
 
 
-def _parse_rows(rows: list) -> np.ndarray:
-    """Rows of two numbers as one array [x0, v0, x1, v1, ...]; ValueError if a row is not two numbers."""
+def _parse_rows(rows: list) -> "tuple[np.ndarray, int]":
+    """The rows up to the first block that _parse_block refuses, as one array [x0, v0, x1, v1, ...], and their
+    count."""
     table = np.empty(2 * len(rows))
     for start in range(0, len(rows), _PARSE_BLOCK):
-        block = rows[start:start + _PARSE_BLOCK]
-        # rows joined by an empty field, which stays in every third place only if each row has two fields
-        fields = ",,".join(block).split(",")
-        if len(fields) != 3 * len(block) - 1 or any(fields[2::3]):
-            raise ValueError("a row without two fields")
-        del fields[2::3]
-        table[2 * start:2 * start + len(fields)] = list(map(float, fields))
-    return table
+        try:
+            table[2 * start:2 * (start + _PARSE_BLOCK)] = _parse_block(rows[start:start + _PARSE_BLOCK])
+        except ValueError:
+            return table[:2 * start], start
+    return table, len(rows)
 
 
 def _raise_bad_row(path, rows: list, linenos: list) -> None:
@@ -208,6 +210,33 @@ def _raise_bad_row(path, rows: list, linenos: list) -> None:
             float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric row {line!r}") from exc
+
+
+def _take_rows(numbered_lines, kind, rows: list, linenos: list, first_only: bool = False):
+    """Append the rows among (lineno, line) pairs to rows and their numbers to linenos, stopping after the first row
+    if first_only; the kind after them. A '# kind=' comment sets the kind; comments, blank lines and headers are not
+    rows."""
+    for lineno, raw in numbered_lines:
+        line = raw.strip()
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("kind="):
+                kind = body[len("kind="):].strip()
+        # only a line starting with w or W can be the header
+        elif line and not (line[0] in "wW" and line.lower().replace(" ", "") == "wavelength_nm,value"):
+            rows.append(line)
+            linenos.append(lineno)
+            if first_only:
+                break
+    return kind
+
+
+def _rows_table(path, rows: list, linenos: list) -> np.ndarray:
+    """The rows as one array [x0, v0, x1, v1, ...]; raises for the first bad row, naming its path:lineno."""
+    table, parsed = _parse_rows(rows)
+    if parsed < len(rows):
+        _raise_bad_row(path, rows[parsed:], linenos[parsed:])
+    return table
 
 
 def _columns(path, table: np.ndarray, kind, linenos):
@@ -224,25 +253,15 @@ def _columns(path, table: np.ndarray, kind, linenos):
 
 
 def _read_lines(path, default_kind):
-    """read_spectrum_columns one line at a time, for a file whose rows are interleaved with other lines, or bad."""
-    kind = default_kind
+    """read_spectrum_columns one line at a time, for a file whose bytes are not all UTF-8."""
     rows, linenos = [], []
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                kind, is_row = _classify(line, kind)
-                if is_row:
-                    rows.append(line)
-                    linenos.append(lineno)
+            kind = _take_rows(enumerate(fh, start=1), default_kind, rows, linenos)
         except UnicodeDecodeError:
             _raise_bad_row(path, rows, linenos)  # a bad row before the undecodable bytes is reported first
             raise
-    try:
-        table = _parse_rows(rows)
-    except ValueError:
-        _raise_bad_row(path, rows, linenos)
-    return _columns(path, table, kind, linenos)
+    return _columns(path, _rows_table(path, rows, linenos), kind, linenos)
 
 
 def read_spectrum_columns(
@@ -250,8 +269,7 @@ def read_spectrum_columns(
 ) -> "tuple[np.ndarray, np.ndarray, SpectrumKind, range | list[int]]":
     """Wavelengths, values, kind and row line numbers of a spectrum CSV, not yet checked as a spectrum.
 
-    Read whole and parsed in blocks (see the module docstring); a file that a block fails on, or whose bytes are
-    not UTF-8, goes to _read_lines.
+    Read whole and parsed in blocks (see the module docstring); a file whose bytes are not UTF-8 goes to _read_lines.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -260,32 +278,27 @@ def read_spectrum_columns(
         return _read_lines(path, default_kind)
     if not lines[-1]:
         lines.pop()  # the end of the last line, not a line
-    kind = default_kind
-    first = 0
-    for line in lines:
-        kind, is_row = _classify(line.strip(), kind)
-        if is_row:
-            break
-        first += 1
-    try:
-        table = _parse_rows(lines[first:])
-    except ValueError:
-        return _read_lines(path, default_kind)
-    return _columns(path, table, kind, range(first + 1, len(lines) + 1))
+    first_row, first_lineno = [], [len(lines) + 1]  # the first row's line number, else one past the last line
+    kind = _take_rows(enumerate(lines, start=1), default_kind, first_row, first_lineno, first_only=True)
+    first = first_lineno[-1] - 1
+    body = lines[first:]
+    table, parsed = _parse_rows(body)
+    if parsed == len(body):
+        return _columns(path, table, kind, range(first + 1, len(lines) + 1))
+    # from the first block that holds another line, or a bad row, a line at a time
+    rows, linenos = [], []
+    kind = _take_rows(enumerate(body[parsed:], start=first + parsed + 1), kind, rows, linenos)
+    table = np.concatenate((table, _rows_table(path, rows, linenos)))
+    return _columns(path, table, kind, [*range(first + 1, first + parsed + 1), *linenos])
 
 
 def spectrum_from_rows(path, linenos, make, wavelengths_nm, values, *rest):
-    """make(wavelengths_nm, values, *rest), read from path's rows at linenos; a refusal of a sample is prefixed
-    with its row's path:lineno."""
+    """make(wavelengths_nm, values, *rest), read from path's rows at linenos; a refusal of a sample (an
+    ElementError) is prefixed with its row's path:lineno."""
     try:
         return make(wavelengths_nm, values, *rest)
-    except ValueError as exc:
-        wl, v = wavelengths_nm, values
-        # the samples SampledSpectrum refuses, check by check in its order
-        for bad in (~(np.isfinite(wl) & (wl > 0.0)), ~(np.isfinite(v) & (v >= 0.0)), np.diff(wl, prepend=-np.inf) <= 0):
-            if bad.any():
-                raise ValueError(f"{path}:{linenos[int(bad.argmax())]}: {exc}") from None
-        raise
+    except ElementError as exc:
+        raise ValueError(f"{path}:{linenos[exc.index]}: {exc}") from None
 
 
 def read_spectrum_csv(path: "str | os.PathLike", default_kind: "SpectrumKind | None" = None) -> SampledSpectrum:

@@ -23,7 +23,7 @@ from thermolight import (
     q1d_total_power,
     wien_peak,
 )
-from thermolight.radiometry import DENSITY_BAND_NM, _peak_root, real_values
+from thermolight.radiometry import DENSITY_BAND_NM, ElementError, _peak_root, real_values
 
 # CODATA 2018 exact defining constants, typed out here so the checks do
 # not share a constants module with the implementation.
@@ -127,6 +127,12 @@ def test_real_values_returns_a_float_or_a_float64_array_copying_none():
     assert real_values("grid", grid) is grid
     assert real_values("grid", np.arange(1, 4, dtype=np.int32)).dtype == np.float64
     assert type(real_values("grid", np.float32(2.0))) is float
+
+
+def test_real_values_refusal_carries_the_index_of_the_element():
+    with pytest.raises(ElementError, match=r"^grid\[2\] must be .*, got nan$") as info:
+        real_values("grid", np.array([1.0, 2.0, math.nan, -1.0]))
+    assert info.value.index == 2
 
 
 @pytest.mark.parametrize("cls", [Temperature, AngularFrequency])

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from thermolight import (
     InstrumentResponse,
+    ReferenceSolarSpectrum,
     SampledSpectrum,
     SpectrumKind,
     convert_spectral_domain,
@@ -17,7 +18,13 @@ from thermolight import (
     read_spectrum_csv,
     write_spectrum_csv,
 )
-from thermolight.spectra import _read_lines, atomic_write_text, read_spectrum_columns, spectrum_to_csv_text
+from thermolight.spectra import (
+    _PARSE_BLOCK,
+    _read_lines,
+    atomic_write_text,
+    read_spectrum_columns,
+    spectrum_to_csv_text,
+)
 
 C = 299792458.0
 
@@ -280,11 +287,20 @@ def test_csv_reader_names_the_row_of_a_refused_sample(tmp_path, rows, lineno, me
     assert info.value.__cause__ is None
 
 
-def test_response_refusals_name_the_row(tmp_path):
-    path = _write(tmp_path, "wavelength_nm,value\n400.0,0.5\n500.0,nan\n600.0,0.7\n")
+@pytest.mark.parametrize("cls, rows, lineno, message", [
+    (InstrumentResponse, ["400.0,0.5", "500.0,nan", "600.0,0.7"], 3,
+     "values[1] must be a finite real in [0, inf), got nan"),
+    (InstrumentResponse, ["400.0,0.5", "500.0,0.6", "600.0,0.0"], 4, "response values must be strictly positive"),
+    (ReferenceSolarSpectrum, ["400.0,1.5", "600.0,1.2", "1200.0,0.3"], 2,
+     "reference spectrum must cover at least [350, 1100] nm"),
+    (ReferenceSolarSpectrum, ["300.0,1.5", "600.0,1.2", "1000.0,0.3"], 4,
+     "reference spectrum must cover at least [350, 1100] nm"),
+], ids=["response-nan", "response-zero", "reference-short-start", "reference-short-end"])
+def test_subclass_refusals_name_the_row(tmp_path, cls, rows, lineno, message):
+    path = _write(tmp_path, "wavelength_nm,value\n" + "\n".join(rows) + "\n")
     with pytest.raises(ValueError) as info:
-        InstrumentResponse.from_csv(path)
-    assert str(info.value) == f"{path}:3: values[1] must be a finite real in [0, inf), got nan"
+        cls.from_csv(path)
+    assert str(info.value) == f"{path}:{lineno}: {message}"
 
 
 _layout_lines = st.one_of(
@@ -300,14 +316,18 @@ _rows = st.tuples(st.floats(allow_nan=True), st.floats(allow_nan=True)).map(lamb
 @given(
     head=st.lists(st.sampled_from(["# kind=counts", " # kind=ratio", "# comment", "", " \t", "wavelength_nm,value"]),
                   max_size=4),
+    # good rows ahead of the body, so that the body can start in any block
+    lead=st.integers(0, 2 * _PARSE_BLOCK + 1),
     body=st.lists(st.one_of(_rows, _rows, _rows, _layout_lines), max_size=12),
     newline=st.sampled_from(["\n", "\r\n"]),
     last_newline=st.booleans(),
     bom=st.booleans(),
     default_kind=st.sampled_from([None, SpectrumKind.RATIO]),
 )
-def test_bulk_reader_matches_the_line_loop(tmp_path_factory, head, body, newline, last_newline, bom, default_kind):
-    text = ("\ufeff" if bom else "") + newline.join(head + body) + (newline if last_newline else "")
+def test_bulk_reader_matches_the_line_loop(tmp_path_factory, head, lead, body, newline, last_newline, bom,
+                                          default_kind):
+    lines = head + [f"{400.0 + i!r},{i / 7!r}" for i in range(lead)] + body
+    text = ("\ufeff" if bom else "") + newline.join(lines) + (newline if last_newline else "")
     path = tmp_path_factory.mktemp("layout") / "s.csv"
     path.write_bytes(text.encode("utf-8"))
     results = []
