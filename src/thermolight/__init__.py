@@ -31,13 +31,10 @@ _NAMES = {
         "write_spectrum_csv",
     ),
     "mode_optics": (
-        "FiberModeModel",
         "FocusGeometry",
         "divergence_half_angle",
         "gaussian_angular_radiance",
         "grayness",
-        "mode_area",
-        "mode_solid_angle",
         "top_hat_area",
     ),
     "ion_thermo": (

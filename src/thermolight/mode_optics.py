@@ -1,7 +1,7 @@
-"""Single-mode beam geometry: mode area, solid angle, grayness, focusing.
+"""Single-mode beam geometry: focal area, grayness, focusing.
 
-A single transverse mode has etendue A(omega) * Omega(omega) = lambda^2.
-Fixing either the divergence solid angle or the focal area pins the other.
+A single transverse mode has etendue A(omega) * Omega(omega) = lambda^2,
+so its focal area pins its solid angle.
 A Gaussian focus is checked against the paraxial limit: a divergence half
 angle above 0.1 rad warns, one above 0.3 rad is refused.
 """
@@ -13,78 +13,10 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .constants import C, NM, TWO_PI_C
+from .constants import C, TWO_PI_C
 from .radiometry import omega_value, real_value
 
 _FOUR_PI = 4.0 * math.pi
-
-# regime -> the fields it takes besides regime and band_nm
-_REGIME_FIELDS = {
-    "constant_divergence": ("omega0_sr",),
-    "constant_area": ("area_m2",),
-}
-
-
-@dataclass(frozen=True)
-class FiberModeModel:
-    """How the collected mode's area varies with frequency, over a validity band.
-
-    regime 'constant_divergence': solid angle omega0_sr is frequency
-    independent, A = lambda^2 / omega0_sr. regime 'constant_area': A is
-    fixed at area_m2. band_nm bounds the wavelengths the model may be
-    evaluated at. A model leaves the other regime's field None; it holds
-    band_nm as a tuple, so it compares and hashes by value.
-    """
-
-    regime: str
-    band_nm: tuple
-    omega0_sr: "float | None" = None
-    area_m2: "float | None" = None
-
-    def __post_init__(self):
-        if not isinstance(self.regime, str) or self.regime not in _REGIME_FIELDS:
-            raise ValueError(f"unknown regime {self.regime!r}; expected one of {tuple(_REGIME_FIELDS)}")
-        stray = [name for regime, names in _REGIME_FIELDS.items() if regime != self.regime
-                 for name in names if getattr(self, name) is not None]
-        if stray:
-            raise ValueError(f"regime {self.regime!r} takes no {', '.join(stray)}")
-        if np.ndim(np.asarray(self.band_nm, dtype=object)) != 1:  # an array among the bounds is one element
-            raise ValueError(f"band_nm must be a list of numbers, got {self.band_nm!r}")
-        band = tuple(real_value("band_nm", v) for v in self.band_nm)
-        if len(band) != 2 or not band[0] < band[1]:
-            raise ValueError(f"band_nm must be (lo, hi) with 0 < lo < hi, got {self.band_nm!r}")
-        object.__setattr__(self, "band_nm", band)
-        if self.regime == "constant_divergence":
-            object.__setattr__(self, "omega0_sr", real_value("omega0_sr", self.omega0_sr, hi=_FOUR_PI))
-        else:
-            object.__setattr__(self, "area_m2", real_value("area_m2", self.area_m2))
-
-    def _check_band(self, wavelength_nm: float) -> None:
-        lo, hi = self.band_nm
-        if not (lo <= wavelength_nm <= hi):
-            raise ValueError(
-                f"wavelength {wavelength_nm:.6g} nm outside model band [{lo:.6g}, {hi:.6g}] nm"
-            )
-
-
-def mode_area(model: FiberModeModel, omega) -> float:
-    """Mode area A(omega) in m^2 under the model's regime."""
-    lam = TWO_PI_C / omega_value(omega)
-    model._check_band(lam / NM)
-    return lam ** 2 / model.omega0_sr if model.regime == "constant_divergence" else model.area_m2
-
-
-def mode_solid_angle(model: FiberModeModel, omega) -> float:
-    """Diffraction solid angle Omega = lambda^2 / A, in sr; capped at 4*pi."""
-    lam = TWO_PI_C / omega_value(omega)
-    solid = lam ** 2 / mode_area(model, omega)
-    if solid > _FOUR_PI:
-        raise ValueError(
-            f"mode solid angle {solid:.4g} sr exceeds 4*pi; area below the diffraction limit"
-        )
-    return solid
 
 
 def top_hat_area(waist_m: float) -> float:

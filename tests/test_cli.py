@@ -691,6 +691,25 @@ def test_reduce_reads_a_reference_file(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:") and "'ratio'" in lines[0]
 
 
+def test_virtual_temp_in_process(tmp_path, capsys):
+    code, out, err = run_main(["virtual-temp", "--ion", "ba138p", "--t-room-k", "300", "--t-sun-k", "5800",
+                               "--motion-hz", "1e6", "--json", "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["t_v_room_limit_k"] == pytest.approx(4.558463e-07, rel=1e-5)
+    assert report["log10_n_bar_room_limit"] == pytest.approx(-45.723, abs=0.01)
+    assert report["t_v_k"] == pytest.approx(4.74e-07, rel=1e-2)
+    assert json.loads((tmp_path / "virtual_temp_report.json").read_text()) == report
+
+
+def test_check_prints_one_pass_line_per_criterion_in_process(tmp_path, capsys):
+    code, out, err = run_main(["check", "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert [line.split(maxsplit=2)[:2] for line in lines[:-1]] == [["PASS", f"{i}."] for i in range(1, 10)]
+    assert "FAIL" not in out and lines[-1] == "all criteria passed"
+
+
 def test_check_json_reports_a_failure(tmp_path, capsys, monkeypatch):
     import thermolight.cli as cli
     from thermolight.acceptance import CriterionResult

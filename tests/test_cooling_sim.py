@@ -549,6 +549,40 @@ def closure_rate_equation(cfg):
     return np.linspace(0.0, cfg.t_max_s, steps + 1), out
 
 
+def bisection_rate_equation(cfg, grid_points=201):
+    """The bisection rate_equation_trajectory once ran, kept as a reference for Newton's method on the same t(n).
+
+    Each grid time bisects the bit patterns of the doubles between n0 and the fixed point to one ulp,
+    comparing the closed form t(n) with the grid time; a NaN counts as not reached.
+    """
+    r = rate_of(cfg)
+    h, n0 = cfg.heating_rate, float(cfg.n_initial)
+    times = np.linspace(0.0, cfg.t_max_s, grid_points)
+    scale = max(r, h) or 1.0
+    a, b, r = (h - r) / scale, 0.5 * h / scale, r / scale
+    c = a * n0 + b
+    series = [(-1.0) ** (k + 1) / (k + 2) for k in range(8, -1, -1)]
+    cooling = c < 0.0
+    end = b / -a if a < 0.0 else n0 + h * cfg.t_max_s
+    bracket = (min(end, n0), n0) if cooling else (n0, max(end, n0))
+    lo, hi = (np.full(grid_points, v).view(np.int64) for v in bracket)
+    with np.errstate(all="ignore"):
+        clock = times * scale
+        for _ in range(int(hi[0] - lo[0] - 1).bit_length()):
+            mid = lo + (hi - lo) // 2
+            n = mid.view(np.float64)
+            dc = (n - n0) / c
+            y = a * dc
+            g = (np.log((a * n + b) / c) - y) / (y * y)
+            small = abs(y) < 0.01
+            g[small] = np.polyval(series, y[small])
+            t = dc * (n0 + 0.5) - 0.5 * r * dc * dc * g
+            below = t <= clock if cooling else ~(t < clock)
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+    return times, (hi if cooling else lo).view(np.float64)
+
+
 @pytest.mark.parametrize("cfg", [
     replace(BASE, n_initial=50, t_max_s=8.0),
     replace(HEATED, heating_rate=4.0, n_initial=3),
@@ -597,6 +631,41 @@ def test_rate_equation_solves_its_ode(n0, gamma, eta_sp, tau, p, load, span):
     rate = -r * n[1:-1] / (n[1:-1] + 0.5) + h
     rounding = 4.0 * np.spacing(np.maximum(n[2:], n[:-2])) / (t[2:] - t[:-2])
     assert np.all(np.abs(slope - rate) <= 1e-3 * np.abs(rate) + rounding)
+
+
+@settings(deadline=None)
+@given(n0=st.integers(0, 1000), gamma=st.floats(1.0, 100.0), eta_sp=st.floats(0.1, 1.0),
+       tau=st.floats(1e-4, 0.1), p=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+       load=st.one_of(st.sampled_from([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-9]), st.floats(0.0, 3.0)),
+       span=st.floats(0.1, 80.0), grid_points=st.sampled_from([1, 2, 201, 4001]))
+@example(n0=36, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.0, span=80.0, grid_points=4001)  # n to 1e-37
+@example(n0=60, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.5, span=80.0, grid_points=201)  # cooling to 1/2
+@example(n0=0, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.5, span=80.0, grid_points=201)  # heating to 1/2
+@example(n0=0, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=1.0 - 1e-9, span=30.0, grid_points=4001)
+@example(n0=20, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=1.0 + 1e-9, span=30.0, grid_points=201)
+@example(n0=3, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=1.0, span=30.0, grid_points=201)  # h = R
+@example(n0=40, gamma=11.06, eta_sp=0.74, tau=1e-3, p=0.6, load=2.6, span=10.0, grid_points=201)  # runaway
+@example(n0=10, gamma=11.06, eta_sp=0.74, tau=1e-3, p=0.0, load=0.5, span=10.0, grid_points=201)  # R = 0
+@example(n0=0, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.0, span=10.0, grid_points=201)  # c = 0
+@example(n0=30, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.0, span=10.0, grid_points=1)
+@example(n0=30, gamma=11.06, eta_sp=0.74, tau=1e-3, p=1.0, load=0.5, span=10.0, grid_points=2)
+def test_rate_equation_matches_the_bisection(n0, gamma, eta_sp, tau, p, load, span, grid_points):
+    cfg = CycleConfig(gamma=gamma, eta_sp=eta_sp, step_duration_s=tau, t_max_s=1.0, seed=1, transfer_prob=p,
+                      n_initial=n0)
+    r = rate_of(cfg)
+    h = load * r if r > 0.0 else load  # h as a share of R, or in 1/s where nothing cools
+    cfg = replace(cfg, heating_rate=h, t_max_s=span / r if r > 0.0 else span)
+    times, want = bisection_rate_equation(cfg, grid_points)
+    curve = rate_equation_trajectory(cfg, grid_points)
+    assert curve.times_s.tobytes() == times.tobytes()
+    assert curve.n[0] == n0
+    np.testing.assert_allclose(curve.n, want, rtol=1e-12, atol=0.0)
+    steps = np.diff(curve.n)
+    assert np.all(steps <= 0.0) or np.all(steps >= 0.0)
+    if h < r:  # on its fixed point's side, to within the fixed point's rounding
+        fixed = 0.5 * h / (r - h)
+        ulps = 4.0 * np.spacing(fixed)
+        assert np.all(curve.n >= fixed - ulps) if n0 > fixed else np.all(curve.n <= fixed + ulps)
 
 
 WINDOW_ENSEMBLES = {

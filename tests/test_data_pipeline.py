@@ -29,6 +29,7 @@ from thermolight import (
     fit_temperature,
     planck_irradiance_per_wavelength,
     q1d_psd_per_wavelength,
+    reduce_spectrum,
     slit_transmission,
     write_spectrum_csv,
 )
@@ -396,6 +397,27 @@ def test_fit_rejects_degenerate_inputs():
     hot = _q1d_spectrum(t=25000.0)
     with pytest.raises(FitConvergenceError):
         fit_temperature(hot)  # optimum pinned at the bracket edge
+
+
+def test_reduce_fits_only_where_the_atmosphere_leaves_a_fifth_of_the_light():
+    # a band down to 3% of the light at 760 nm, inside the 400-900 nm fit band; stray light keeps the
+    # measured counts at 15% or more of the unabsorbed light there, so dividing by c overshoots in the band
+    def dip(grid):
+        return 1.0 - 0.97 * np.exp(-((grid - 760.0) ** 2) / (2.0 * 8.0 ** 2))
+
+    correction = atmospheric_correction(_planck_reference(dip=dip), 5800.0)
+    slit = SlitGeometry(slit_width_m=50e-6, distance_m=10e-3, mode_field_radius_m=2.25e-6)
+    wl = np.arange(400.0, 901.0, 1.0)
+    seen = q1d_psd_per_wavelength(wl, 5800.0) * np.maximum(dip(wl), 0.15) * slit_transmission(slit, wl)
+    raw = SampledSpectrum(wl, seen, SpectrumKind.COUNTS)
+    calibrated, _, fit = reduce_spectrum(raw, InstrumentResponse(wl, np.ones(wl.size)), slit, 1e-7,
+                                         (400.0, 900.0), correction)
+    c = correction.interpolate(wl)
+    assert np.count_nonzero(c < 0.2) == 9  # 756-764 nm
+    assert fit.temperature.kelvin == pytest.approx(5800.0, rel=1e-6) and not fit.flagged
+    # the same division kept over the band fits about 5646 K
+    every = fit_temperature(SampledSpectrum(wl, calibrated.values / c, SpectrumKind.PSD_PER_WAVELENGTH))
+    assert abs(every.temperature.kelvin - 5800.0) > 100.0
 
 
 def test_apply_response_loads_no_numpy_ma():

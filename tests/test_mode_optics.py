@@ -8,13 +8,10 @@ from scipy.integrate import quad
 
 from thermolight import (
     AngularFrequency,
-    FiberModeModel,
     FocusGeometry,
     divergence_half_angle,
     gaussian_angular_radiance,
     grayness,
-    mode_area,
-    mode_solid_angle,
     planck_radiance,
     q1d_psd,
     top_hat_area,
@@ -45,55 +42,6 @@ def test_diffraction_limited_waist_is_where_grayness_reaches_one():
     assert grayness(top_hat_area(1.001 * w0), w) == pytest.approx(1.0 / 1.001 ** 2, rel=1e-12)
     with pytest.raises(ValueError, match="exceeds 1"):
         grayness(top_hat_area(0.999 * w0), w)
-
-
-def test_etendue_product_both_regimes():
-    div = FiberModeModel(regime="constant_divergence", band_nm=(300.0, 2000.0), omega0_sr=0.05)
-    fix = FiberModeModel(regime="constant_area", band_nm=(300.0, 2000.0), area_m2=8e-11)
-    # the band is held as a tuple, so a model built from an array compares and hashes by value
-    again = FiberModeModel(regime="constant_area", band_nm=np.array([300.0, 2000.0]), area_m2=8e-11)
-    assert again == fix and hash(again) == hash(fix)
-    rng = np.random.default_rng(606)
-    for model in (div, fix):
-        for _ in range(100):
-            lam_nm = rng.uniform(300.0, 2000.0)
-            w = AngularFrequency.from_wavelength_nm(lam_nm)
-            prod = mode_area(model, w) * mode_solid_angle(model, w)
-            assert prod == pytest.approx(w.wavelength_m ** 2, rel=1e-12)
-
-
-def test_radiance_closure_psd_over_etendue():
-    model = FiberModeModel(regime="constant_divergence", band_nm=(300.0, 2000.0), omega0_sr=0.05)
-    rng = np.random.default_rng(707)
-    for _ in range(100):
-        lam_nm = rng.uniform(300.0, 2000.0)
-        t = rng.uniform(500.0, 10000.0)
-        w = AngularFrequency.from_wavelength_nm(lam_nm)
-        etendue = mode_area(model, w) * mode_solid_angle(model, w)
-        assert q1d_psd(w, t) / etendue == pytest.approx(planck_radiance(w, t), rel=1e-12)
-
-
-def test_out_of_band_and_oversized_solid_angle():
-    model = FiberModeModel(regime="constant_divergence", band_nm=(400.0, 900.0), omega0_sr=0.05)
-    with pytest.raises(ValueError):
-        mode_area(model, AngularFrequency.from_wavelength_nm(1000.0))
-    tiny = FiberModeModel(regime="constant_area", band_nm=(400.0, 900.0), area_m2=1e-14)
-    with pytest.raises(ValueError):
-        mode_solid_angle(tiny, AngularFrequency.from_wavelength_nm(900.0))
-
-
-AREA = {"regime": "constant_area", "band_nm": [400.0, 900.0], "area_m2": 8e-11}
-
-
-@pytest.mark.parametrize("document", [
-    {**AREA, "band_nm": 5},
-    {**AREA, "band_nm": None},
-    {**AREA, "regime": ["constant_area"]},
-    {**AREA, "omega0_sr": 0.05},
-], ids=["int-band", "null-band", "list-regime", "area-with-omega0"])
-def test_malformed_model_json_is_a_value_error(document):
-    with pytest.raises(ValueError):
-        FiberModeModel(**document)
 
 
 def test_divergence_and_focus_geometry():

@@ -21,7 +21,6 @@ from thermolight import (
     BathSet,
     CoolingDrive,
     CycleConfig,
-    FiberModeModel,
     FocusGeometry,
     SampledSpectrum,
     SlitGeometry,
@@ -36,8 +35,6 @@ from thermolight import (
     ground_state_occupation,
     load_ion,
     mean_occupation,
-    mode_area,
-    mode_solid_angle,
     planck_energy_density,
     planck_irradiance,
     planck_irradiance_per_wavelength,
@@ -59,7 +56,6 @@ SLIT = SlitGeometry(slit_width_m=50e-6, distance_m=10e-3, mode_field_radius_m=2.
 SHAPE = SampledSpectrum(np.linspace(400.0, 900.0, 11), np.ones(11), SpectrumKind.COUNTS)
 W = AngularFrequency.from_wavelength_nm(614.0)
 WM = 2.0 * math.pi * 1e6  # a trap frequency, rad/s
-MODEL = FiberModeModel("constant_divergence", (400.0, 900.0), omega0_sr=0.1)
 UNSET = object()
 
 
@@ -89,12 +85,6 @@ CASES = {
        for f in ("eta_delivery", "grayness", "step_duration_s")},
     **{f"SlitGeometry.{f}": (f, getattr(SLIT, f), stored(SLIT, f))
        for f in ("slit_width_m", "distance_m", "mode_field_radius_m")},
-    "FiberModeModel.band_nm": ("band_nm", 400.0, lambda v: FiberModeModel(
-        "constant_area", (v, 900.0), area_m2=1e-10).band_nm[0]),
-    "FiberModeModel.omega0_sr": ("omega0_sr", 0.1, lambda v: FiberModeModel(
-        "constant_divergence", (400.0, 900.0), omega0_sr=v).omega0_sr),
-    "FiberModeModel.area_m2": ("area_m2", 1e-10, lambda v: FiberModeModel(
-        "constant_area", (400.0, 900.0), area_m2=v).area_m2),
     "FocusGeometry.waist_m": ("waist_m", 1e-5, lambda v: FocusGeometry(v, 0.05).waist_m),
     "FocusGeometry.half_angle_rad": ("half_angle_rad", 0.05, lambda v: FocusGeometry(1e-5, v).half_angle_rad),
     "AngularFrequency.rad_per_s": ("angular frequency", 3e15, lambda v: AngularFrequency(v).rad_per_s),
@@ -124,8 +114,6 @@ CASES = {
     **{f"{fn.__name__}.{a}": ("angular frequency", good, called(fn, **{**kwargs, a: UNSET}))
        for fn, a, good, kwargs in (
            (grayness, "omega", W.rad_per_s, {"area_m2": 1e-10}),
-           (mode_area, "omega", W.rad_per_s, {"model": MODEL}),
-           (mode_solid_angle, "omega", W.rad_per_s, {"model": MODEL}),
            (divergence_half_angle, "omega", W.rad_per_s, {"waist_m": 1e-5}),
            (excitation_rate, "omega_eg", W.rad_per_s, {"a_eg": 4e7, "g_e": 4, "g_g": 6, "rho": 1e-20}),
            (gaussian_angular_radiance, "omega", W.rad_per_s,
