@@ -44,6 +44,16 @@ def test_diffraction_limited_waist_is_where_grayness_reaches_one():
         grayness(top_hat_area(0.999 * w0), w)
 
 
+def test_radiance_closure_psd_over_etendue():
+    # a single mode's etendue is A * Omega = lambda^2, so its PSD over lambda^2 is the blackbody radiance
+    rng = np.random.default_rng(707)
+    for _ in range(100):
+        lam_nm = rng.uniform(300.0, 2000.0)
+        t = rng.uniform(500.0, 10000.0)
+        w = AngularFrequency.from_wavelength_nm(lam_nm)
+        assert q1d_psd(w, t) / w.wavelength_m ** 2 == pytest.approx(planck_radiance(w, t), rel=1e-12)
+
+
 def test_divergence_and_focus_geometry():
     w = AngularFrequency.from_wavelength_nm(614.0)
     w0 = 20e-6

@@ -22,6 +22,7 @@ from thermolight import (
     CoolingDrive,
     CycleConfig,
     FocusGeometry,
+    InstrumentResponse,
     SampledSpectrum,
     SlitGeometry,
     SpectrumKind,
@@ -29,6 +30,7 @@ from thermolight import (
     calibrate_power,
     cycle_rate,
     divergence_half_angle,
+    ensemble_stats,
     excitation_rate,
     gaussian_angular_radiance,
     grayness,
@@ -42,6 +44,7 @@ from thermolight import (
     q1d_psd,
     q1d_psd_per_wavelength,
     q1d_total_power,
+    rate_equation_trajectory,
     simulate_ensemble,
     slit_transmission,
     top_hat_area,
@@ -53,6 +56,7 @@ ION = load_ion()
 CFG = CycleConfig(gamma=11.0, eta_sp=0.74, step_duration_s=1e-3, t_max_s=0.01, seed=7)
 DRIVE = CoolingDrive(eta_delivery=0.5, grayness=5e-5, omega_motion=2e6)
 SLIT = SlitGeometry(slit_width_m=50e-6, distance_m=10e-3, mode_field_radius_m=2.25e-6)
+TRAJECTORIES = simulate_ensemble(CFG, 2)
 SHAPE = SampledSpectrum(np.linspace(400.0, 900.0, 11), np.ones(11), SpectrumKind.COUNTS)
 W = AngularFrequency.from_wavelength_nm(614.0)
 WM = 2.0 * math.pi * 1e6  # a trap frequency, rad/s
@@ -77,12 +81,15 @@ def called(fn, **kwargs):
 # (label in the error, good value, build)
 CASES = {
     **{f"CycleConfig.{f}": (f, getattr(CFG, f), stored(CFG, f))
-       for f in ("gamma", "eta_sp", "step_duration_s", "t_max_s", "heating_rate", "n_initial", "seed")},
+       for f in ("gamma", "eta_sp", "step_duration_s", "t_max_s", "heating_rate", "n_initial", "seed",
+                 "transfer_prob")},
     **{f"IonSpec.{f}": (f, getattr(ION, f), stored(ION, f))
        for f in ("omega1_rad_s", "omega2_rad_s", "omega3_rad_s", "a_ps_s", "a_pd_s",
                  "g_e", "g_g", "a_pd_driven_s")},
     **{f"CoolingDrive.{f}": (f, getattr(DRIVE, f), stored(DRIVE, f))
        for f in ("eta_delivery", "grayness", "step_duration_s")},
+    "CoolingDrive.omega_motion": ("angular frequency", WM,
+                                  lambda v: replace(DRIVE, omega_motion=v).omega_motion.rad_per_s),
     **{f"SlitGeometry.{f}": (f, getattr(SLIT, f), stored(SLIT, f))
        for f in ("slit_width_m", "distance_m", "mode_field_radius_m")},
     "FocusGeometry.waist_m": ("waist_m", 1e-5, lambda v: FocusGeometry(v, 0.05).waist_m),
@@ -110,6 +117,10 @@ CASES = {
                                                                  polarizations=UNSET)),
     "simulate_ensemble.n_trajectories": ("n_trajectories", 2, called(simulate_ensemble, cfg=CFG,
                                                                      n_trajectories=UNSET)),
+    "ensemble_stats.grid_points": ("grid_points", 201, called(ensemble_stats, trajectories=TRAJECTORIES,
+                                                              grid_points=UNSET)),
+    "rate_equation_trajectory.grid_points": ("grid_points", 201, called(rate_equation_trajectory, cfg=CFG,
+                                                                        grid_points=UNSET)),
     # the functions that take one angular frequency, a scalar only
     **{f"{fn.__name__}.{a}": ("angular frequency", good, called(fn, **{**kwargs, a: UNSET}))
        for fn, a, good, kwargs in (
@@ -155,6 +166,8 @@ ARRAY_CASES = {
        for fn in (q1d_psd_per_wavelength, planck_irradiance_per_wavelength)},
     "SampledSpectrum.wavelengths_nm": ("wavelengths_nm", LAMS, lambda v: SampledSpectrum(v, np.ones(3), "counts")),
     "SampledSpectrum.values": ("values", np.ones(3), lambda v: SampledSpectrum(LAMS, v, "counts")),
+    "InstrumentResponse.wavelengths_nm": ("wavelengths_nm", LAMS, lambda v: InstrumentResponse(v, np.ones(3))),
+    "InstrumentResponse.values": ("values", np.ones(3), lambda v: InstrumentResponse(LAMS, v)),
     "SampledSpectrum.interpolate": ("wavelength_nm", LAMS, SampledSpectrum(LAMS, np.ones(3), "counts").interpolate),
     "slit_transmission": ("wavelength_nm", LAMS, lambda v: slit_transmission(SLIT, v)),
     "beam_radius_at_slit": ("wavelength_nm", LAMS, lambda v: beam_radius_at_slit(SLIT, v)),
