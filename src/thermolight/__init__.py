@@ -54,6 +54,7 @@ _NAMES = {
     "cooling_sim": (
         "CoolingTrajectory",
         "CycleConfig",
+        "Ensemble",
         "EnsembleStats",
         "ensemble_stats",
         "rate_equation_trajectory",

@@ -1,9 +1,9 @@
 """The no-heating kernel of cooling_sim: members' uniform streams parsed in passes over chunks of members.
 
 cooling_sim's docstring gives the grammar that makes this possible and why heated runs cannot use it.
-cooling_sim._simulate places each pass's finished members by index and runs the rest in one event-loop
-call. It imports this module on its first run with h = 0, so a process that simulates no cooling run
-never compiles it.
+cooling_sim._simulate runs the members the passes leave in one event-loop call, and lays every pass's
+records end to end in member order in one Ensemble. It imports this module on its first run with h = 0,
+so a process that simulates no cooling run never compiles it.
 """
 
 from __future__ import annotations

@@ -52,9 +52,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, fields
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -138,6 +138,50 @@ class CoolingTrajectory:
         atomic_write_text(path, self.to_csv_text())
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class Ensemble(Sequence):
+    """One config's members, their rows (times_s, phonon_numbers, tags) end to end; member k's end at ends[k].
+
+    Each index or iteration makes a new CoolingTrajectory: read-only views of its rows, config with the
+    seed seeds[k], a copy of counters[k]. A slice, and a sum with a list, give a list of members.
+    """
+
+    config: CycleConfig
+    seeds: list
+    times_s: np.ndarray
+    phonon_numbers: np.ndarray
+    tags: str
+    ends: list
+    counters: list
+
+    def __len__(self) -> int:
+        return len(self.seeds)
+
+    def __getitem__(self, index):
+        picked = range(len(self.seeds))[index]
+        return [self._member(k) for k in picked] if isinstance(index, slice) else self._member(picked)
+
+    def __iter__(self):
+        return map(self._member, range(len(self.seeds)))
+
+    def __add__(self, other):
+        return list(self) + other
+
+    def __radd__(self, other):
+        return other + list(self)
+
+    def _member(self, k: int) -> CoolingTrajectory:
+        start, end = self.ends[k - 1] if k else 0, self.ends[k]
+        # the member copies config's validated fields; its seed, a uint64 word, is in range too
+        config = object.__new__(CycleConfig)
+        config.__dict__.update(vars(self.config), seed=self.seeds[k])
+        # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
+        traj = object.__new__(CoolingTrajectory)
+        traj.__dict__.update(times_s=self.times_s[start:end], phonon_numbers=self.phonon_numbers[start:end],
+                             states=tuple(self.tags[start:end]), config=config, counters=dict(self.counters[k]))
+        return traj
+
+
 BLOCK = 128  # uniforms per refill of a member's stream; no trajectory depends on it
 
 
@@ -210,7 +254,7 @@ def _pcg64_states(seeds: np.ndarray) -> list:
 def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
     """The event loop: each member's draws taken one at a time, in time order, for any heating rate.
 
-    Returns the members' records laid end to end (times, n, tags), each member's end row and counters.
+    Returns the members' records laid end to end (times, n, tags as one str), each member's end row and counters.
     Each member's generator state comes from _pcg64_states and is set on one reused Generator.
     """
     rng = np.random.Generator(np.random.PCG64(0))
@@ -308,15 +352,16 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
             "stop_reason": stop_reason,
         })
         ends.append(len(tags))
-    return np.frombuffer(times, dtype=np.float64), np.frombuffer(numbers, dtype=np.int64), tags, ends, runs
+    return np.frombuffer(times, dtype=np.float64), np.frombuffer(numbers, dtype=np.int64), "".join(tags), ends, runs
 
 
-def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
+def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> Ensemble:
     """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
 
     Runs with no heating are parsed in passes over chunks of members (cooling_parse.parsed_runs);
     heated runs, and the members a parse leaves, take one call of the event loop (_event_runs).
-    Each member holds read-only views of the buffers of the pass that ran it.
+    The passes' records are laid end to end in the order the passes finish, and gathered into
+    member order where a redraw or the event loop's remainder leaves them out of it.
     """
     parts, pending = [], np.arange(seeds.size)
     if cfg.heating_rate == 0.0:
@@ -324,23 +369,21 @@ def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> list:
         parts, pending = parsed_runs(cfg, seeds)
     if pending.size:
         parts.append((pending, _event_runs(cfg, seeds[pending])))
-    cls, fields, seeds = type(cfg), vars(cfg), seeds.tolist()
-    trajectories = [None] * len(seeds)
-    for members, (times, numbers, tags, ends, counters) in parts:
-        times.setflags(write=False)
-        numbers.setflags(write=False)
-        start = 0
-        for index, end, counted in zip(members.tolist(), ends, counters):
-            # each member copies cfg's validated fields; its seed, a uint64 word, is in range too
-            member = object.__new__(cls)
-            member.__dict__.update(fields, seed=seeds[index])
-            # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
-            traj = object.__new__(CoolingTrajectory)
-            traj.__dict__.update(times_s=times[start:end], phonon_numbers=numbers[start:end],
-                                 states=tuple(tags[start:end]), config=member, counters=counted)
-            trajectories[index] = traj
-            start = end
-    return trajectories
+    members, runs = zip(*parts)
+    times, numbers, tags, ends, counters = zip(*runs)
+    order, times, numbers = (x[0] if len(x) == 1 else np.concatenate(x) for x in (members, times, numbers))
+    tags, counters = "".join(tags), list(chain.from_iterable(counters))
+    sizes = np.concatenate([np.diff([0, *part]) for part in ends])
+    if (order[1:] < order[:-1]).any():
+        rank = np.argsort(order)  # where each member's run sits among those laid end to end
+        starts, sizes = (np.cumsum(sizes) - sizes)[rank], sizes[rank]
+        rows = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(times.size)
+        times, numbers = times[rows], numbers[rows]
+        tags = np.frombuffer(tags.encode("ascii"), dtype=np.uint8)[rows].tobytes().decode("ascii")
+        counters = [counters[k] for k in rank.tolist()]
+    times.setflags(write=False)
+    numbers.setflags(write=False)
+    return Ensemble(cfg, seeds.tolist(), times, numbers, tags, np.cumsum(sizes).tolist(), counters)
 
 
 def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
@@ -363,13 +406,13 @@ def simulate_trajectory(cfg: CycleConfig) -> CoolingTrajectory:
     return _simulate(cfg, np.array([cfg.seed], dtype=np.uint64))[0]
 
 
-def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> list:
+def simulate_ensemble(cfg: CycleConfig, n_trajectories: int) -> Ensemble:
     """Independent trajectories with per-member seeds derived from cfg.seed.
 
     Seeds come from numpy's SeedSequence state expansion; each member
     re-runs bit for bit from the config recorded on it, through
-    simulate_trajectory. The members' arrays are read-only views of the
-    buffers of the pass that simulated them.
+    simulate_trajectory. An Ensemble holds the members' rows in member
+    order; each access makes a new member, so ens[0] is ens[0] is False.
     """
     n = int_value("n_trajectories", n_trajectories, 1)
     return _simulate(cfg, np.random.SeedSequence(cfg.seed).generate_state(n, dtype=np.uint64))
@@ -434,16 +477,13 @@ def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
     return numbers[counts.reshape(len(sizes), cells)[:, :-1]]
 
 
-def ensemble_counters(trajectories: list) -> dict:
+def ensemble_counters(trajectories: Sequence) -> dict:
     """Ensemble totals of the per-trajectory counters, with a count of each stop reason."""
+    runs = trajectories.counters if isinstance(trajectories, Ensemble) else [tr.counters for tr in trajectories]
     counted = ("cycles", "empty_intervals", "transfers", "scatters", "heating_events")
-    totals = {key: sum(tr.counters[key] for tr in trajectories) for key in counted}
-    totals["stop_reasons"] = dict(Counter(tr.counters["stop_reason"] for tr in trajectories))
+    totals = {key: sum(run[key] for run in runs) for key in counted}
+    totals["stop_reasons"] = dict(Counter(run["stop_reason"] for run in runs))
     return totals
-
-
-# every CycleConfig field but the seed, as one tuple
-_SHARED_FIELDS = attrgetter(*(f.name for f in fields(CycleConfig) if f.name != "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +517,7 @@ class EnsembleStats:
         }
 
 
-def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
+def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleStats:
     """Grid-resampled ensemble statistics.
 
     The initial cooling slope is a per-trajectory least-squares fit over
@@ -496,15 +536,18 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
     grid_points = int_value("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need at least three grid points, got {grid_points}")
-    ref = _SHARED_FIELDS(trajectories[0].config)  # members differ in their seeds only
-    if any(_SHARED_FIELDS(traj.config) != ref for traj in trajectories):
-        raise ValueError("trajectories come from differing configs")
-    cfg = trajectories[0].config
+    if isinstance(trajectories, Ensemble):  # one config by construction, the rows laid out already
+        cfg, times, numbers = trajectories.config, trajectories.times_s, trajectories.phonon_numbers.astype(float)
+        sizes = np.diff(trajectories.ends, prepend=0)
+    else:
+        cfg = trajectories[0].config
+        if any(dict(vars(traj.config), seed=0) != dict(vars(cfg), seed=0) for traj in trajectories):  # but the seeds
+            raise ValueError("trajectories come from differing configs")
+        times = np.concatenate([traj.times_s for traj in trajectories])
+        numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
+        sizes = np.array([traj.times_s.size for traj in trajectories])
     t_max = cfg.t_max_s
     grid = np.linspace(0.0, t_max, grid_points)
-    times = np.concatenate([traj.times_s for traj in trajectories])
-    numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
-    sizes = np.array([traj.times_s.size for traj in trajectories])
     quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
     samples = _grid_samples(times, numbers, sizes, grid)
     del times, numbers  # free the records before the (members x grid) temporaries below
@@ -545,6 +588,7 @@ def ensemble_stats(trajectories: list, grid_points: int = 201) -> EnsembleStats:
 
 
 _NEWTON_TOL = 2.0 ** -26
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 class RateCurve(NamedTuple):
@@ -567,8 +611,9 @@ def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCu
     approach the root from one side, and once every grid time's step is below 2^-26 of n, a last
     step leaves an error of the order of its square, below n's rounding. A step that leaves the
     bracket between n0 and n_f (n0 + h t_max if h >= R), narrowed by the sign of each t(n) computed,
-    is replaced by a halving of the bracket's bit patterns. There are at most 64 passes: 8 or 9 on
-    a cooling curve, more only where scaled times overflow or n - n_f underflows. The result is the
+    is replaced by a halving of the bracket's bit patterns. A step in v stops where |s| reaches the
+    smallest normal double, whose ln is still exact, and a root past that point is n_f. There are at
+    most 64 passes: 8 or 9 on a cooling curve, more only where scaled times overflow. The result is the
     root of t(n) to within t's own rounding, about 1e-14 relative against a 40-digit root; ln(1 + y)
     comes from log1p, since ln(1 + y) - y cancels near |y| = 0.01 and a logarithm of the rounded
     1 + y would leave about 1e-12 there near balance. The result is clamped into its bracket, so it
@@ -600,12 +645,18 @@ def rate_equation_trajectory(cfg: CycleConfig, grid_points: int = 201) -> RateCu
         for _ in range(64):
             if s is None:
                 new, grown = n - f * (a * n + b) / (n + 0.5), None
-            else:  # the step in v: s grows by exp(dv)
+            else:  # the step in v: s grows by exp(dv), but not below the smallest normal |s|, whose ln is exact
                 dv = f * -a / (n + 0.5)
                 grown = s * np.exp(dv)
+                beyond = abs(grown) < _TINY  # the root is closer to n_f than that
+                if beyond.any():
+                    dv[beyond] = np.log(_TINY / np.maximum(abs(s[beyond]), _TINY))
+                    grown = s * np.exp(dv)
                 # above n_f, n from s keeps n's precision; below it, from n, where n << n_f
                 new = fixed + grown if cooling else n + s * np.expm1(dv)
             if (abs(new - n) <= _NEWTON_TOL * n).all():
+                if s is not None:
+                    new[beyond] = fixed
                 n = np.clip(new, lo, hi)
                 break
             inside = (lo <= new) & (new <= hi)

@@ -1,8 +1,7 @@
 """Stochastic cooling-cycle simulator against its analytic oracles."""
 
 import math
-from collections import defaultdict
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from thermolight import (
 )
 from thermolight.acceptance import markov_steady_state_occupation, renewal_slope
 from thermolight import cooling_parse, cooling_sim
-from thermolight.cooling_sim import ensemble_counters
+from thermolight.cooling_sim import EnsembleStats, ensemble_counters
 
 
 def rate_of(cfg):
@@ -443,30 +442,90 @@ def test_member_seeding_equals_default_rng(monkeypatch):
     assert [traj.config.seed for traj in members] == EDGE_SEEDS
 
 
-def test_members_hold_read_only_views_of_the_buffers_of_their_pass(monkeypatch):
-    def passes(members):
-        """The members grouped by the buffers their rows are views of; each group fills its buffers."""
-        groups = defaultdict(list)
-        for traj in members:
-            for values, dtype in ((traj.times_s, np.float64), (traj.phonon_numbers, np.int64)):
-                assert values.dtype == dtype and not values.flags.writeable
+def address(values):
+    return values.__array_interface__["data"][0]
+
+
+def test_members_hold_read_only_views_of_the_ensembles_buffers_in_member_order(monkeypatch):
+    def laid_out(ensemble):
+        """Each member's rows view the ensemble's one pair of read-only buffers, right after the previous member's."""
+        row = 0
+        for traj in ensemble:
+            for values, buffer, dtype in ((traj.times_s, ensemble.times_s, np.float64),
+                                          (traj.phonon_numbers, ensemble.phonon_numbers, np.int64)):
+                assert values.dtype == buffer.dtype == dtype and not buffer.flags.writeable
+                assert values.base is buffer and address(values) == address(buffer) + 8 * row
                 with pytest.raises(ValueError):
                     values[0] = 1
-            groups[id(traj.times_s.base), id(traj.phonon_numbers.base)].append(traj)
-        for group in groups.values():
-            assert sum(traj.times_s.size for traj in group) == group[0].times_s.base.size
-            assert group[0].times_s.base.size == group[0].phonon_numbers.base.size
-        return len(groups)
+            row += traj.times_s.size
+        assert row == ensemble.times_s.size == ensemble.phonon_numbers.size == ensemble.ends[-1]
 
-    assert passes([simulate_trajectory(HEATED)]) == 1
-    assert passes(simulate_ensemble(replace(HEATED, t_max_s=0.5), 6)) == 1  # one event-loop call
+    laid_out(cooling_sim._simulate(HEATED, np.array([HEATED.seed], dtype=np.uint64)))  # simulate_trajectory's
+    laid_out(simulate_ensemble(replace(HEATED, t_max_s=0.5), 6))  # one event-loop call
+    laid_out(simulate_ensemble(BASE, 300))  # three parse passes, finished in member order
     # chunks of 7, streams of a fifth of the mean drawn again, none over 200 uniforms: the event loop takes the rest
     for name, value in (("STREAM_MARGIN", 0.2), ("STREAM_SPARE", 1), ("PARSE_MEMBERS", 7), ("PARSE_WIDTH", 200)):
         monkeypatch.setattr(cooling_parse, name, value)
     event_runs, looped = cooling_sim._event_runs, []
     monkeypatch.setattr(cooling_sim, "_event_runs", lambda cfg, seeds: looped.append(seeds) or event_runs(cfg, seeds))
-    cooling = replace(BASE, eta_sp=0.3, transfer_prob=0.5, n_initial=30, t_max_s=6.0)
-    assert passes(simulate_ensemble(cooling, 60)) > 60 // 7 + 1 and len(looped) == 1
+    ensemble = simulate_ensemble(replace(BASE, eta_sp=0.3, transfer_prob=0.5, n_initial=30, t_max_s=6.0), 60)
+    laid_out(ensemble)
+    # the passes finished out of member order: the event loop's remainder is not the last members
+    assert len(looped) == 1 and looped[0].tolist() != ensemble.seeds[-looped[0].size:]
+
+
+def test_an_ensemble_is_a_read_only_sequence_of_members_made_on_access():
+    ensemble = simulate_ensemble(replace(HEATED, t_max_s=0.5), 5)
+    seeds = np.random.SeedSequence(HEATED.seed).generate_state(5, dtype=np.uint64).tolist()
+    assert len(ensemble) == 5 and ensemble.seeds == seeds
+    assert [traj.config.seed for traj in ensemble] == seeds  # iteration in member order
+    assert ensemble[4].config.seed == ensemble[-1].config.seed == seeds[4]
+    assert ensemble[0].config.seed == ensemble[-5].config.seed == seeds[0]
+    for index in (5, -6):
+        with pytest.raises(IndexError):
+            ensemble[index]
+    for part in (slice(1, 3), slice(None, None, -2), slice(7, None)):
+        picked = ensemble[part]
+        assert type(picked) is list and [traj.config.seed for traj in picked] == seeds[part]
+    extra = simulate_trajectory(HEATED)
+    for joined, order in ((ensemble + [extra], seeds + [HEATED.seed]), ([extra] + ensemble, [HEATED.seed] + seeds)):
+        assert type(joined) is list and [traj.config.seed for traj in joined] == order
+    member = ensemble[2]
+    assert member is not ensemble[2] and member.config == replace(HEATED, t_max_s=0.5, seed=seeds[2])
+    start, end = ensemble.ends[1], ensemble.ends[2]
+    assert member.times_s.tobytes() == ensemble.times_s[start:end].tobytes()
+    assert member.phonon_numbers.tobytes() == ensemble.phonon_numbers[start:end].tobytes()
+    assert member.states == tuple(ensemble.tags[start:end])
+    assert member.counters == ensemble.counters[2] and member.counters is not ensemble.counters[2]
+    assert all(type(value) is int for key, value in member.counters.items() if key != "stop_reason")
+    with pytest.raises(FrozenInstanceError):
+        ensemble.config = HEATED
+
+
+# a heated ensemble, a cooling one, and one whose parse passes finish out of member order
+RECORD_ENSEMBLES = {
+    "heated": replace(HEATED, t_max_s=0.5),
+    "cooling": replace(BASE, t_max_s=1.0),
+    "out-of-order": replace(BASE, eta_sp=0.3, transfer_prob=0.5, n_initial=30, t_max_s=6.0),
+}
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(sorted(RECORD_ENSEMBLES)), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(2, 60))
+@example(kind="heated", seed=HEATED.seed, members=20)
+@example(kind="cooling", seed=BASE.seed, members=300)
+@example(kind="out-of-order", seed=BASE.seed, members=60)
+def test_stats_and_counters_of_the_record_equal_those_of_its_members_listed(kind, seed, members):
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "out-of-order":  # chunks of 7, short streams drawn again, the longest left to the event loop
+            for name, value in (("STREAM_MARGIN", 0.2), ("STREAM_SPARE", 1), ("PARSE_MEMBERS", 7), ("PARSE_WIDTH", 200)):
+                mp.setattr(cooling_parse, name, value)
+        ensemble = simulate_ensemble(replace(RECORD_ENSEMBLES[kind], seed=seed), members)
+    listed = list(ensemble)
+    got, want = ensemble_stats(ensemble), ensemble_stats(listed)
+    for field in fields(EnsembleStats):
+        assert np.asarray(getattr(got, field.name)).tobytes() == np.asarray(getattr(want, field.name)).tobytes(), field
+    assert repr(ensemble_counters(ensemble)) == repr(ensemble_counters(listed))
 
 
 def reference_stats(trajectories, grid_points=201):
@@ -553,7 +612,9 @@ def bisection_rate_equation(cfg, grid_points=201):
     """The bisection rate_equation_trajectory once ran, kept as a reference for Newton's method on the same t(n).
 
     Each grid time bisects the bit patterns of the doubles between n0 and the fixed point to one ulp,
-    comparing the closed form t(n) with the grid time; a NaN counts as not reached.
+    comparing the closed form t(n) with the grid time; a NaN counts as not reached. ln(1 + y) comes
+    from log1p, as in the library: a logarithm of the rounded ratio (a n + b)/c is up to 1e-12 off
+    just above the series' |y| = 0.01 near balance.
     """
     r = rate_of(cfg)
     h, n0 = cfg.heating_rate, float(cfg.n_initial)
@@ -573,7 +634,9 @@ def bisection_rate_equation(cfg, grid_points=201):
             n = mid.view(np.float64)
             dc = (n - n0) / c
             y = a * dc
-            g = (np.log((a * n + b) / c) - y) / (y * y)
+            # ln(1 + y) as rate_equation_trajectory takes it where y > -1/2; nearer n_f, from 1 + y = (a n + b)/c
+            ln = np.where(y > -0.5, np.log1p(y), np.log(abs(a * n + b)) - np.log(abs(c)))
+            g = (ln - y) / (y * y)
             small = abs(y) < 0.01
             g[small] = np.polyval(series, y[small])
             t = dc * (n0 + 0.5) - 0.5 * r * dc * dc * g
@@ -666,6 +729,17 @@ def test_rate_equation_matches_the_bisection(n0, gamma, eta_sp, tau, p, load, sp
         fixed = 0.5 * h / (r - h)
         ulps = 4.0 * np.spacing(fixed)
         assert np.all(curve.n >= fixed - ulps) if n0 > fixed else np.all(curve.n <= fixed + ulps)
+
+
+@pytest.mark.parametrize("load, n0", [(0.9, 0), (0.0, 20)], ids=["heating-to-n_f", "cooling-to-zero"])
+def test_rate_equation_past_the_underflow_of_n_minus_n_f_ends_at_the_bisection(load, n0):
+    # n - n_f falls below the smallest double long before t_max = 1e300 s: the step in v stops at the smallest
+    # normal n - n_f, and the curve reads n_f from there on, as the bisection does to within its last ulps
+    cfg = replace(BASE, heating_rate=load * rate_of(BASE), n_initial=n0, t_max_s=1e300)
+    times, want = bisection_rate_equation(cfg)
+    curve = rate_equation_trajectory(cfg)
+    assert curve.times_s.tobytes() == times.tobytes() and curve.n[0] == n0
+    assert np.all(np.abs(curve.n[1:] - want[1:]) <= 4.0 * np.spacing(want[1:]))
 
 
 WINDOW_ENSEMBLES = {
