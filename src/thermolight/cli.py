@@ -429,8 +429,9 @@ def cmd_simulate(args) -> dict:
     from .ion_thermo import cycle_rate
 
     _require(args, "gamma", "eta_sp", "step_duration_s", "t_max_s")
-    # each field the command sets comes from the flag of its name
-    with _flag_names({f.name: "--" + f.name.replace("_", "-") for f in fields(CycleConfig)}):
+    # each field the command sets comes from the flag of its name, here and where the statistics refuse one
+    flags = {f.name: "--" + f.name.replace("_", "-") for f in fields(CycleConfig)}
+    with _flag_names(flags):
         cfg = CycleConfig(
             gamma=args.gamma,
             eta_sp=args.eta_sp,
@@ -457,7 +458,8 @@ def cmd_simulate(args) -> dict:
                          f"--trajectories {args.trajectories}, above the ceiling of {MAX_RECORDED_ROWS:.0e} "
                          f"(the estimate is in simulate --help)")
     trajectories = simulate_ensemble(cfg, args.trajectories)
-    stats = ensemble_stats(trajectories, grid_points=args.grid_points)
+    with _flag_names(flags):
+        stats = ensemble_stats(trajectories, grid_points=args.grid_points)
     ode = rate_equation_trajectory(cfg, grid_points=args.grid_points)
 
     files = {}

@@ -1,4 +1,7 @@
-"""The no-heating kernel of cooling_sim: members' uniform streams parsed in passes over chunks of members.
+"""The no-heating kernel of cooling_sim: members' uniform streams parsed in passes of up to PARSE_CELLS cells.
+
+A member's row holds its drawn uniforms and three spare cells; a pass takes as many rows as PARSE_CELLS
+holds, at least one, so a 500-member ensemble of a few hundred uniforms each takes one pass.
 
 cooling_sim's docstring gives the grammar that makes this possible and why heated runs cannot use it.
 cooling_sim._simulate runs the members the passes leave in one event-loop call, and lays every pass's
@@ -9,14 +12,13 @@ so a process that simulates no cooling run never compiles it.
 from __future__ import annotations
 
 import math
-from array import array
 
 import numpy as np
 
 from .cooling_sim import CycleConfig, _pcg64_states
 from .ion_thermo import cycle_rate
 
-PARSE_MEMBERS = 128  # members parsed together; a pass holds about 25 bytes per member and drawn uniform
+PARSE_CELLS = 2 ** 18  # cells parsed together, at least one member's row; a pass peaks at about 42 bytes a cell
 PARSE_WIDTH = 4096   # the longest stream a parse pass draws; members that need more take the event loop
 STREAM_MARGIN = 1.25  # a parse pass draws this many times a member's expected uniforms, plus STREAM_SPARE
 STREAM_SPARE = 32
@@ -76,8 +78,8 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
         np.minimum.accumulate(run, axis=1, out=run)
     moved = u < p
     # the interval start after one at column c, as a flat index; the spare columns keep a walk that left the stream
-    base = np.arange(0, m * span, span)
-    jump = np.empty((m, span), dtype=np.intp)
+    base = np.arange(0, m * span, span, dtype=np.int32)  # a pass holds fewer than 2**31 cells
+    jump = np.empty((m, span), dtype=np.int32)
     np.add(first[:, 2:], 1, out=jump[:, :-2], where=moved[:, :-2])
     np.copyto(jump[:, :-2], col[1:-1], where=~moved[:, :-2])
     jump[:, -2:] = col[-2:]
@@ -119,11 +121,11 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
     del runs
     is_w[:, -2:] = False  # a run that the stream cuts short fills the spare column
     waits = np.flatnonzero(is_w)
-    drawn = np.negative(u.ravel()[waits]).tolist()
+    drawn = np.negative(u.ravel()[waits])
     times = u  # the uniforms are spent: their buffer takes the times
     times.fill(0.0)
     times.ravel()[chain[kept]] = tau
-    times.ravel()[waits] = -np.frombuffer(array("d", map(math.log1p, drawn)), dtype=np.float64) / cfg.gamma
+    times.ravel()[waits] = -np.fromiter(map(math.log1p, memoryview(drawn)), np.float64, count=drawn.size) / cfg.gamma
     np.cumsum(times, axis=1, out=times)
 
     # the run stops at the first interval that ends past t_max or the first wait that reaches it: the first
@@ -163,7 +165,7 @@ def _parse_pass(cfg: CycleConfig, u: np.ndarray) -> tuple:
 
 
 def parsed_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
-    """The h = 0 runs of _event_runs, bit for bit, from _parse_pass over PARSE_MEMBERS members at a time.
+    """The h = 0 runs of _event_runs, bit for bit, from _parse_pass over up to PARSE_CELLS cells at a time.
 
     Returns (parts, pending): parts holds, per pass, the indices of the members it finished and their
     runs as _event_runs lays them out; pending holds the members left to the event loop. A member
@@ -175,9 +177,9 @@ def parsed_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
         return [], pending
     parts, width = [], _stream_width(cfg)
     while pending.size and width <= PARSE_WIDTH:
-        short = []
-        for lo in range(0, pending.size, PARSE_MEMBERS):
-            members = pending[lo:lo + PARSE_MEMBERS]
+        short, chunk = [], max(1, PARSE_CELLS // (width + 3))  # members whose rows PARSE_CELLS holds
+        for lo in range(0, pending.size, chunk):
+            members = pending[lo:lo + chunk]
             finished, *runs = _parse_pass(cfg, _streams(seeds[members], width))
             parts.append((members[finished], runs))
             short.append(members[~finished])

@@ -38,7 +38,7 @@ member's draws one at a time. With h = 0 which draw a uniform feeds depends
 on the uniforms alone: a transfer draw at each interval start, then after a
 success (excitation wait, branching draw) pairs until a branching success.
 So cooling_parse draws each member's first uniforms into one row of an
-array, finds every run's tokens for a chunk of members at once (a reversed
+array, finds every run's tokens for many members at once (a reversed
 running minimum for the next ending branch draw, one gather per cycle for
 the chain of interval starts; Blelloch 1990), and sums the waits along the
 rows. Heating cannot take that path: each heating wait within an interval
@@ -358,7 +358,7 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
 def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> Ensemble:
     """One trajectory, as simulate_trajectory runs it, for each uint64 seed with cfg's other fields.
 
-    Runs with no heating are parsed in passes over chunks of members (cooling_parse.parsed_runs);
+    Runs with no heating are parsed in passes of up to PARSE_CELLS cells (cooling_parse.parsed_runs);
     heated runs, and the members a parse leaves, take one call of the event loop (_event_runs).
     The passes' records are laid end to end in the order the passes finish, and gathered into
     member order where a redraw or the event loop's remainder leaves them out of it.
@@ -530,6 +530,11 @@ def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleSt
     ensemble mean is phase-locked and steeper than the sustained cooling
     rate until the exponential waits decorrelate the cycles; skipping
     one busy-cycle period 1/cycle_rate removes that bias.
+
+    Each member's slope is a least-squares fit in grid steps, small exact
+    numbers whose squares stay within the doubles, divided by the step
+    t_max_s/(grid_points - 1). The slopes' variance is in 1/s^2, so a step
+    whose square is not a normal double is refused.
     """
     if len(trajectories) < 2:
         raise ValueError("need at least two trajectories")
@@ -547,6 +552,10 @@ def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleSt
         numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
         sizes = np.array([traj.times_s.size for traj in trajectories])
     t_max = cfg.t_max_s
+    step = t_max / (grid_points - 1)
+    if not step * step >= _TINY:
+        raise ValueError(f"t_max_s {t_max!r} over {grid_points - 1} grid steps gives steps of {step!r} s, "
+                         f"below the {math.sqrt(_TINY):.3g} s whose square is the smallest normal double")
     grid = np.linspace(0.0, t_max, grid_points)
     quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
     samples = _grid_samples(times, numbers, sizes, grid)
@@ -569,8 +578,10 @@ def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleSt
     start = min(start, grid_points - 3)
     stop = max(stop, start + 2)
     window = slice(start, stop + 1)
-    coeffs = np.polyfit(grid[window], samples[:, window].T, 1)
-    slopes = coeffs[0]
+    # least squares in grid steps counted from the window's middle, where they sum to zero and the samples need no
+    # centring
+    steps = np.arange(stop + 1 - start) - (stop - start) / 2
+    slopes = samples[:, window] @ (steps / (steps @ steps)) / step
     slope = float(slopes.mean())
     slope_err = float(slopes.std(ddof=1) / math.sqrt(len(slopes)))
 

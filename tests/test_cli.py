@@ -531,6 +531,23 @@ def test_simulate_names_the_flag_of_a_bad_config(tmp_path, capsys, flags, named)
     assert not out.exists()
 
 
+EXTREME_HORIZON = ["simulate", "--gamma", "11", "--eta-sp", "0.74", "--step-duration-s", "1e-3", "--n-initial", "5"]
+
+
+def test_simulate_names_the_flag_of_a_horizon_too_short_for_its_grid(tmp_path, capsys):
+    # 200 grid steps of 5e-203 s: the slopes' variance, in 1/s^2, is past the doubles
+    out = tmp_path / "out"
+    run_main_refused([*EXTREME_HORIZON, "--t-max-s", "1e-200", "--out", str(out)], capsys, "--t-max-s 1e-200")
+    assert not out.exists()
+
+
+def test_simulate_fits_a_slope_over_a_horizon_whose_squares_overflow(tmp_path, capsys):
+    code, stdout, err = run_main([*EXTREME_HORIZON, "--t-max-s", "1e200", "--out", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    stats = json.loads((tmp_path / "ensemble_summary.json").read_text())["stats"]
+    assert stats["slope_per_s"] == 0.0 and stats["slope_window_s"] == [5e197, 1.5e198]  # at the ground state by then
+
+
 @pytest.mark.parametrize("temperature", ["inf", "nan"])
 def test_spectrum_names_the_flag_of_a_non_finite_temperature(tmp_path, capsys, temperature):
     out = tmp_path / "out"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from thermolight import CycleConfig, simulate_ensemble, simulate_trajectory
 from thermolight import cooling_parse, cooling_sim
+from thermolight.acceptance import _BASE_SEED, renewal_slope
 
 
 def laid_end_to_end(members):
@@ -57,25 +58,25 @@ unit = st.floats(1e-6, 1.0)  # (0, 1] down to where a transient is still a finit
 @given(n0=st.integers(0, 80), p=st.one_of(st.just(1.0), unit), eta_sp=st.one_of(st.just(1.0), unit),
        tau=st.floats(-5.0, 0.0).map(lambda e: 10.0 ** e), gamma=st.floats(-1.0, 4.0).map(lambda e: 10.0 ** e),
        horizon=st.floats(-2.0, 0.5), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(1, 40),
-       chunk=st.integers(1, 8), margin=st.floats(0.2, 1.25), widest=st.one_of(st.just(4096), st.integers(32, 1024)))
-@example(n0=0, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=1, members=5, chunk=8,
+       cells=st.integers(1, 4000), margin=st.floats(0.2, 1.25), widest=st.one_of(st.just(4096), st.integers(32, 1024)))
+@example(n0=0, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=1, members=5, cells=4000,
          margin=1.25, widest=4096)  # quiescent at once
-@example(n0=20, p=0.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=2, members=5, chunk=8,
+@example(n0=20, p=0.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.0, seed=2, members=5, cells=4000,
          margin=1.25, widest=4096)  # no transfer ever
-@example(n0=35, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.2, seed=3, members=40, chunk=8,
-         margin=1.25, widest=4096)  # the simulate default
-@example(n0=20, p=0.3, eta_sp=1.0, tau=1e-3, gamma=11.06, horizon=-0.5, seed=4, members=40, chunk=3,
+@example(n0=35, p=1.0, eta_sp=0.74, tau=1e-3, gamma=11.06, horizon=0.2, seed=3, members=40, cells=1600,
+         margin=1.25, widest=4096)  # the simulate default, eight members a pass
+@example(n0=20, p=0.3, eta_sp=1.0, tau=1e-3, gamma=11.06, horizon=-0.5, seed=4, members=40, cells=500,
          margin=1.25, widest=4096)  # cut mid-transient
-@example(n0=20, p=0.6, eta_sp=0.05, tau=1e-3, gamma=11.06, horizon=-0.3, seed=5, members=40, chunk=5,
-         margin=0.2, widest=4096)  # drawn again, several times
-@example(n0=80, p=1e-3, eta_sp=1e-3, tau=1e-3, gamma=10.0, horizon=0.5, seed=6, members=12, chunk=4,
+@example(n0=20, p=0.6, eta_sp=0.05, tau=1e-3, gamma=11.06, horizon=-0.3, seed=5, members=40, cells=1,
+         margin=0.2, widest=4096)  # drawn again, several times, one member a pass
+@example(n0=80, p=1e-3, eta_sp=1e-3, tau=1e-3, gamma=10.0, horizon=0.5, seed=6, members=12, cells=2000,
          margin=0.2, widest=1000)  # the longest streams take the event loop
-def test_parse_kernel_equals_the_event_loop(n0, p, eta_sp, tau, gamma, horizon, seed, members, chunk, margin,
+def test_parse_kernel_equals_the_event_loop(n0, p, eta_sp, tau, gamma, horizon, seed, members, cells, margin,
                                             widest):
     cfg = cooling_config(n0, p, eta_sp, tau, gamma, horizon, seed)
     seeds = member_seeds(cfg, members)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cooling_parse, "PARSE_MEMBERS", chunk)
+        mp.setattr(cooling_parse, "PARSE_CELLS", cells)
         mp.setattr(cooling_parse, "STREAM_MARGIN", margin)
         mp.setattr(cooling_parse, "PARSE_WIDTH", widest)
         got = laid_end_to_end(cooling_sim._simulate(cfg, seeds))
@@ -110,18 +111,47 @@ def test_short_streams_are_drawn_again_and_long_ones_take_the_event_loop(monkeyp
         looped.append(seeds.size)
         return event_runs(cfg, seeds)
 
-    # a stream of a fifth of the mean, chunks of 7 members, and no stream over 200 uniforms
+    # a stream of a fifth of the mean, passes of 400 cells, and no stream over 200 uniforms
     monkeypatch.setattr(cooling_parse, "STREAM_MARGIN", 0.2)
     monkeypatch.setattr(cooling_parse, "STREAM_SPARE", 1)
-    monkeypatch.setattr(cooling_parse, "PARSE_MEMBERS", 7)
+    monkeypatch.setattr(cooling_parse, "PARSE_CELLS", 400)
     monkeypatch.setattr(cooling_parse, "PARSE_WIDTH", 200)
     monkeypatch.setattr(cooling_parse, "_parse_pass", counted_pass)
     monkeypatch.setattr(cooling_sim, "_event_runs", counted_loop)
     assert laid_end_to_end(simulate_ensemble(cfg, 60)) == want
     widths = sorted({width for width, _, _ in passes})
     assert len(widths) >= 2 and all(b == 2 * a for a, b in zip(widths, widths[1:]))  # drawn again, twice as long
-    assert max(size for _, size, _ in passes) == 7
+    assert all(size * (width + 3) <= 400 or size == 1 for width, size, _ in passes)  # a row is width + 3 cells
+    assert max(size for _, size, _ in passes) == 400 // (widths[0] + 3) > 1
     assert len(looped) == 1 and looped[0] + sum(done for _, _, done in passes) == 60  # one event-loop call
+
+
+def test_a_pass_takes_as_many_members_as_parse_cells_holds(monkeypatch):
+    shapes, parse_pass = [], cooling_parse._parse_pass
+
+    def counted_pass(cfg, u):
+        shapes.append(u.shape)
+        return parse_pass(cfg, u)
+
+    monkeypatch.setattr(cooling_parse, "_parse_pass", counted_pass)
+    # the default budget: the widest rows of the benchmark's cooling ensembles (n0 = 60, the longest interval,
+    # the slowest decay; 500 members) and criterion 8's cooling ensemble each take one pass
+    rate = renewal_slope(9.0, 0.74, 5e-3)
+    widest = CycleConfig(gamma=9.0, eta_sp=0.74, step_duration_s=5e-3, t_max_s=1.3 * 60 / rate + 0.5, seed=11,
+                         n_initial=60)
+    criterion_8 = CycleConfig(gamma=11.06, eta_sp=0.74, step_duration_s=1e-3, t_max_s=3.0, seed=_BASE_SEED + 8,
+                              n_initial=20)
+    for cfg, members in ((widest, 500), (criterion_8, 1000)):
+        shapes.clear()
+        simulate_ensemble(cfg, members)
+        assert len(shapes) == 1 and shapes[0][0] == members and members * shapes[0][1] <= cooling_parse.PARSE_CELLS
+    # a budget below one row: one member a pass, and still the event loop's runs
+    cfg = cooling_config(25, 0.8, 0.5, 1e-3, 11.06, -0.3, 12)
+    seeds = member_seeds(cfg, 9)
+    shapes.clear()
+    monkeypatch.setattr(cooling_parse, "PARSE_CELLS", cooling_parse._stream_width(cfg) + 2)
+    assert laid_end_to_end(cooling_sim._simulate(cfg, seeds)) == event_loop(cfg, seeds)
+    assert len(shapes) >= 9 and all(size == 1 for size, _ in shapes)
 
 
 def test_no_heating_is_parsed_and_heating_takes_the_event_loop(monkeypatch):
