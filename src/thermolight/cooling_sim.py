@@ -13,14 +13,18 @@ pass), read BLOCK values at a time. Every draw takes the next u of the
 stream. A wait at rate r is the inversion -log(1 - u)/r (Devroye 1986,
 sec. II.2), a Bernoulli of probability p succeeds when u < p. The block
 size changes no draw, and a trajectory is bit-reproducible from (config,
-seed). Both kernels compute a wait with math.log1p, not numpy's log1p or
-log: numpy picks SIMD code by the CPU's features, so a stream built on it
-would change with the CPU. With numpy 2.4 on an AVX-512 Xeon, np.log1p
-differs from math.log1p on about 7% of uniforms and np.log from math.log
-on about 0.3%; with those features disabled (NPY_DISABLE_CPU_FEATURES)
-both agree exactly. The uniforms feed, in this order within a cycle (a
-transfer probability p below 1 spends no extra draw, so the stream order
-is the same for every p):
+seed). The event loop reads each block negated, v = -u, once per block:
+a wait is log1p(v)/-r and a Bernoulli succeeds when v > -p. Negation is
+exact and a quotient's sign does not change its magnitude, so every wait
+and every decision is the same double as with u. Both kernels compute a
+wait with math.log1p, not numpy's log1p or log: numpy picks SIMD code by
+the CPU's features, so a stream built on it would change with the CPU.
+With numpy 2.4 on an AVX-512 Xeon, np.log1p differs from math.log1p on
+about 7% of uniforms and np.log from math.log on about 0.3%; with those
+features disabled (NPY_DISABLE_CPU_FEATURES) both agree exactly. The
+uniforms feed, in this order within a cycle (a transfer probability p
+below 1 spends no extra draw, so the stream order is the same for every
+p):
 
 1. at n = 0 with h > 0, one heating wait, which skips the empty intervals
    before it and is used as the first heating wait of the interval it
@@ -120,14 +124,20 @@ class CoolingTrajectory:
         object.__setattr__(self, "times_s", t)
         object.__setattr__(self, "phonon_numbers", n)
 
+    _ensemble = None  # the Ensemble a member was made from, and its index there
+    _index = 0
+
     def time_average(self, t0: float, t1: float) -> float:
-        """Time average of the piecewise-constant n over [t0, t1].
+        """Time average of the piecewise-constant n over [t0, t1], 0 <= t0 < t1 <= t_max_s (1 + 1e-12).
 
         Bit for bit the member's entry of one _window_means pass over the whole ensemble, the pass
-        ensemble_stats makes for its steady state.
+        ensemble_stats makes for its steady state. A member of an Ensemble reads its entry of the
+        ensemble's time_averages, so members asking for one window share one pass; a trajectory
+        built directly makes its own pass.
         """
-        if not (0.0 <= t0 < t1 <= self.config.t_max_s + 1e-12):
-            raise ValueError(f"window [{t0}, {t1}] outside [0, {self.config.t_max_s}]")
+        if self._ensemble is not None:
+            return float(self._ensemble.time_averages(t0, t1)[self._index])
+        _check_window(self.config, t0, t1)
         return float(_window_means(self.times_s, self.phonon_numbers, [self.times_s.size], t0, t1)[0])
 
     def to_csv_text(self) -> str:
@@ -143,7 +153,10 @@ class Ensemble(Sequence):
     """One config's members, their rows (times_s, phonon_numbers, tags) end to end; member k's end at ends[k].
 
     Each index or iteration makes a new CoolingTrajectory: read-only views of its rows, config with the
-    seed seeds[k], a copy of counters[k]. A slice, and a sum with a list, give a list of members.
+    seed seeds[k], a copy of counters[k], and a reference to this ensemble and k, through which its
+    time_average reads time_averages. A slice, and a sum with a list, give a list of members. The
+    ensemble keeps the last window's time_averages, so its members asking for one window in turn
+    make one pass between them.
     """
 
     config: CycleConfig
@@ -170,6 +183,23 @@ class Ensemble(Sequence):
     def __radd__(self, other):
         return other + list(self)
 
+    _last_window = None, None  # the last window time_averages computed, and its read-only result
+
+    def time_averages(self, t0: float, t1: float) -> np.ndarray:
+        """Every member's time average of n over [t0, t1], from one _window_means pass over the record.
+
+        Returns a read-only array of len(self) floats, entry k bit for bit self[k].time_average(t0, t1).
+        The last window's array is kept and returned again while the window stays the same; another
+        window replaces it.
+        """
+        window, means = self._last_window
+        if window != (t0, t1):
+            _check_window(self.config, t0, t1)
+            means = _window_means(self.times_s, self.phonon_numbers, np.diff(self.ends, prepend=0), t0, t1)
+            means.setflags(write=False)
+            object.__setattr__(self, "_last_window", ((t0, t1), means))
+        return means
+
     def _member(self, k: int) -> CoolingTrajectory:
         start, end = self.ends[k - 1] if k else 0, self.ends[k]
         # the member copies config's validated fields; its seed, a uint64 word, is in range too
@@ -178,16 +208,23 @@ class Ensemble(Sequence):
         # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
         traj = object.__new__(CoolingTrajectory)
         traj.__dict__.update(times_s=self.times_s[start:end], phonon_numbers=self.phonon_numbers[start:end],
-                             states=tuple(self.tags[start:end]), config=config, counters=dict(self.counters[k]))
+                             states=tuple(self.tags[start:end]), config=config, counters=dict(self.counters[k]),
+                             _ensemble=self, _index=k)
         return traj
+
+
+def _check_window(cfg: CycleConfig, t0: float, t1: float) -> None:
+    """Refuse a window [t0, t1] that is empty or reaches past t_max_s by more than 1e-12 of it."""
+    if not (0.0 <= t0 < t1 and t1 - cfg.t_max_s <= 1e-12 * cfg.t_max_s):
+        raise ValueError(f"window [{t0}, {t1}] outside [0, {cfg.t_max_s}]")
 
 
 BLOCK = 128  # uniforms per refill of a member's stream; no trajectory depends on it
 
 
 def _uniforms(rng: np.random.Generator):
-    """The generator's uniforms on [0, 1) in stream order, drawn BLOCK at a time."""
-    return chain.from_iterable(iter(lambda: rng.random(BLOCK).tolist(), None))
+    """The generator's uniforms on [0, 1), negated, in stream order, drawn and negated BLOCK at a time."""
+    return chain.from_iterable(iter(lambda: np.negative(rng.random(BLOCK)).tolist(), None))
 
 
 # numpy's SeedSequence hash constants and PCG's 128-bit LCG multiplier
@@ -251,41 +288,48 @@ def _pcg64_states(seeds: np.ndarray) -> list:
     return states
 
 
+# a row's code in _event_runs: the t = 0 row, heating in S, a transfer, heating in D, a scatter
+_TAGS = bytes.maketrans(b"\1\2\3\4\5", b"SSDDP")  # the row's tag by its code
+_STEPS = np.array([0, 0, 1, -1, 1, 0], dtype=np.int64)  # the row's change of n by its code
+
+
 def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
     """The event loop: each member's draws taken one at a time, in time order, for any heating rate.
 
     Returns the members' records laid end to end (times, n, tags as one str), each member's end row and counters.
-    Each member's generator state comes from _pcg64_states and is set on one reused Generator.
+    Each member's generator state comes from _pcg64_states and is set on one reused Generator. The loop
+    reads the negated uniforms of _uniforms and appends a time and a code per row; the tags and n follow
+    from the codes afterwards, n by one running sum that each member's first row restarts at n_initial.
     """
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
     log1p, inf = math.log1p, math.inf
-    h, gamma, eta_sp, p = cfg.heating_rate, cfg.gamma, cfg.eta_sp, cfg.transfer_prob
-    heating = h > 0.0
-    tau, t_max = cfg.step_duration_s, cfg.t_max_s
-    times, numbers, tags = array("d"), array("q"), []
-    put_t, put_n, put_tag = times.append, numbers.append, tags.append
-    ends, runs = [], []
+    # negated rates and probabilities: with v = -u a wait is log1p(v)/-r, and u < p is v > -p
+    to_h, to_gamma, to_p, to_eta = -cfg.heating_rate, -cfg.gamma, -cfg.transfer_prob, -cfg.eta_sp
+    heating = cfg.heating_rate > 0.0
+    n0, tau, t_max = cfg.n_initial, cfg.step_duration_s, cfg.t_max_s
+    times, codes = array("d"), bytearray()
+    put_t, put_code = times.append, codes.append
+    ends, runs, lasts = [], [], []
 
     for state in _pcg64_states(seeds):
         bit_generator.state = state
-        uniform = _uniforms(rng).__next__
+        draw = _uniforms(rng).__next__
         t = 0.0
-        n = cfg.n_initial
+        n = n0
         put_t(t)
-        put_n(n)
-        put_tag("S")
+        put_code(1)
         empty_intervals = transfers = scatters = 0
         stop_reason = None
 
         while stop_reason is None:
             wait = None  # heating wait already drawn for the coming interval
             if not heating:
-                if n == 0 or p == 0.0:
+                if n == 0 or to_p == 0.0:
                     stop_reason = "quiescent"  # no heating and the sideband has no effect
                     break
             elif n == 0:
-                dt = -log1p(-uniform()) / h
+                dt = log1p(draw()) / to_h
                 if t + dt >= t_max:
                     empty_intervals += int((t_max - t) // tau)
                     stop_reason = "t_max"
@@ -298,31 +342,29 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
             if heating:
                 horizon = t_end if t_end < t_max else t_max
                 while True:
-                    dt = -log1p(-uniform()) / h if wait is None else wait
+                    dt = log1p(draw()) / to_h if wait is None else wait
                     wait = None
                     if t + dt >= horizon:
                         break
                     t += dt
                     n += 1
                     put_t(t)
-                    put_n(n)
-                    put_tag("S")
+                    put_code(2)
             if t_end > t_max:
                 stop_reason = "t_max"
                 break
             t = t_end
-            if n == 0 or uniform() >= p:
+            if n == 0 or draw() <= to_p:
                 empty_intervals += 1
                 continue  # no transfer this cycle; remain in S
             n -= 1
             transfers += 1
             put_t(t)
-            put_n(n)
-            put_tag("D")
+            put_code(3)
             # step II: wait in D for thermal excitation, racing against heating
             while True:
-                dt = -log1p(-uniform()) / gamma
-                dt_heat = -log1p(-uniform()) / h if heating else inf
+                dt = log1p(draw()) / to_gamma
+                dt_heat = log1p(draw()) / to_h if heating else inf
                 heated = dt_heat < dt
                 if heated:
                     dt = dt_heat
@@ -333,14 +375,12 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
                 if heated:
                     n += 1
                     put_t(t)
-                    put_n(n)
-                    put_tag("D")
+                    put_code(4)
                     continue
                 scatters += 1
                 put_t(t)
-                put_n(n)
-                put_tag("P")
-                if uniform() < eta_sp:
+                put_code(5)
+                if draw() > to_eta:
                     break  # back in S; cycle complete
 
         runs.append({
@@ -348,11 +388,15 @@ def _event_runs(cfg: CycleConfig, seeds: np.ndarray) -> tuple:
             "empty_intervals": empty_intervals,
             "transfers": transfers,
             "scatters": scatters,
-            "heating_events": n - cfg.n_initial + transfers,  # n moves only by heating (+1) and transfer (-1)
+            "heating_events": n - n0 + transfers,  # n moves only by heating (+1) and transfer (-1)
             "stop_reason": stop_reason,
         })
-        ends.append(len(tags))
-    return np.frombuffer(times, dtype=np.float64), np.frombuffer(numbers, dtype=np.int64), "".join(tags), ends, runs
+        ends.append(len(codes))
+        lasts.append(n)
+    numbers = _STEPS[np.frombuffer(codes, dtype=np.uint8)]
+    numbers[[0, *ends[:-1]]] = n0 - np.array([0, *lasts[:-1]], dtype=np.int64)  # back to n0 from the last member's n
+    np.cumsum(numbers, out=numbers)
+    return np.frombuffer(times, dtype=np.float64), numbers, codes.translate(_TAGS).decode("ascii"), ends, runs
 
 
 def _simulate(cfg: CycleConfig, seeds: np.ndarray) -> Ensemble:
@@ -424,19 +468,16 @@ def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
     times and numbers are the members' records laid end to end, sizes their
     lengths. Every row holds its n until the member's next row, the last
     one to the end; its duration clipped to the window weights that n.
-    A single member skips the owner scaffolding and sums its weights in
-    the same row order, so its mean is bit for bit its ensemble entry.
+    bincount adds each member's weights from 0.0 in row order, so a
+    member's mean is bit for bit the same in any layout, alone included.
     """
-    single = len(sizes) == 1
     held = np.empty_like(times)
     held[:-1] = times[1:]
-    held[-1 if single else np.cumsum(sizes) - 1] = math.inf
+    held[np.cumsum(sizes) - 1] = math.inf
     np.minimum(held, t1, out=held)
     held -= np.maximum(times, t0)
     np.maximum(held, 0.0, out=held)
     held *= numbers
-    if single:  # accumulate adds from the first row on, as bincount does; held.sum() is pairwise
-        return np.add.accumulate(held)[-1:] / (t1 - t0)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     return np.bincount(owner, weights=held, minlength=len(sizes)) / (t1 - t0)
 
@@ -557,7 +598,10 @@ def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleSt
         raise ValueError(f"t_max_s {t_max!r} over {grid_points - 1} grid steps gives steps of {step!r} s, "
                          f"below the {math.sqrt(_TINY):.3g} s whose square is the smallest normal double")
     grid = np.linspace(0.0, t_max, grid_points)
-    quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
+    if isinstance(trajectories, Ensemble):
+        quartiles = trajectories.time_averages(0.75 * t_max, t_max)
+    else:
+        quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
     samples = _grid_samples(times, numbers, sizes, grid)
     del times, numbers  # free the records before the (members x grid) temporaries below
     mean_n = samples.mean(axis=0)

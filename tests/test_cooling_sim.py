@@ -434,6 +434,9 @@ def test_long_window_steady_state_matches_markov_chain():
     replace(HEATED, n_initial=3, transfer_prob=0.6),
 ], ids=["cooling", "heated", "heated-partial-transfer"])
 def test_trajectory_does_not_depend_on_the_uniform_block(monkeypatch, cfg):
+    # the event loop negates each refill of BLOCK uniforms as it draws it; heated runs take the loop, and the cooling
+    # one, whose parse draws no block, takes it too once the parse leaves every member to it
+    monkeypatch.setattr(cooling_parse, "PARSE_WIDTH", 0)
     runs = []
     for block in (1, 7, cooling_sim.BLOCK):
         monkeypatch.setattr(cooling_sim, "BLOCK", block)
@@ -464,6 +467,11 @@ def test_member_seeding_equals_default_rng(monkeypatch):
     members = cooling_sim._simulate(HEATED, np.array(EDGE_SEEDS, dtype=np.uint64))
     assert started == [np.random.default_rng(seed).bit_generator.state for seed in EDGE_SEEDS]
     assert [traj.config.seed for traj in members] == EDGE_SEEDS
+    # and the loop reads that stream negated, value after value across the refills of BLOCK uniforms
+    for seed in EDGE_SEEDS:
+        count = 3 * cooling_sim.BLOCK + 5
+        drawn = np.fromiter(uniforms(np.random.default_rng(seed)), np.float64, count=count)
+        assert drawn.tobytes() == np.negative(np.random.default_rng(seed).random(count)).tobytes(), seed
 
 
 def address(values):
@@ -535,17 +543,22 @@ RECORD_ENSEMBLES = {
 }
 
 
+def record_ensemble(kind, seed, members):
+    """simulate_ensemble of RECORD_ENSEMBLES[kind] with the seed and members given."""
+    with pytest.MonkeyPatch.context() as mp:
+        if kind == "out-of-order":  # passes of 400 cells, short streams drawn again, the longest left to the event loop
+            for name, value in (("STREAM_MARGIN", 0.2), ("STREAM_SPARE", 1), ("PARSE_CELLS", 400), ("PARSE_WIDTH", 200)):
+                mp.setattr(cooling_parse, name, value)
+        return simulate_ensemble(replace(RECORD_ENSEMBLES[kind], seed=seed), members)
+
+
 @settings(deadline=None)
 @given(kind=st.sampled_from(sorted(RECORD_ENSEMBLES)), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(2, 60))
 @example(kind="heated", seed=HEATED.seed, members=20)
 @example(kind="cooling", seed=BASE.seed, members=300)
 @example(kind="out-of-order", seed=BASE.seed, members=60)
 def test_stats_and_counters_of_the_record_equal_those_of_its_members_listed(kind, seed, members):
-    with pytest.MonkeyPatch.context() as mp:
-        if kind == "out-of-order":  # passes of 400 cells, short streams drawn again, the longest left to the event loop
-            for name, value in (("STREAM_MARGIN", 0.2), ("STREAM_SPARE", 1), ("PARSE_CELLS", 400), ("PARSE_WIDTH", 200)):
-                mp.setattr(cooling_parse, name, value)
-        ensemble = simulate_ensemble(replace(RECORD_ENSEMBLES[kind], seed=seed), members)
+    ensemble = record_ensemble(kind, seed, members)
     listed = list(ensemble)
     got, want = ensemble_stats(ensemble), ensemble_stats(listed)
     for field in fields(EnsembleStats):
@@ -794,3 +807,72 @@ def test_time_average_is_its_entry_of_the_ensemble_pass(kind, seed, members, dat
     assume(t0 < t1)
     wide = cooling_sim._window_means(times, numbers, sizes, t0, t1)
     assert [tr.time_average(t0, t1) for tr in trajectories] == wide.tolist()
+
+
+def built_directly(member):
+    """A copy of an ensemble's member built as a CoolingTrajectory of its own, which makes its own window pass."""
+    return cooling_sim.CoolingTrajectory(member.times_s, member.phonon_numbers, member.states, member.config,
+                                         member.counters)
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(sorted(RECORD_ENSEMBLES)), seed=st.integers(0, 2 ** 64 - 1), members=st.integers(2, 60),
+       data=st.data())
+@example(kind="out-of-order", seed=BASE.seed, members=60, data=None)
+def test_time_averages_of_the_record_equal_its_members_own_passes(kind, seed, members, data):
+    ensemble = record_ensemble(kind, seed, members)
+    t_max = ensemble.config.t_max_s
+    # the whole run, or windows whose edges are event times of the ensemble, t_max or any time in between
+    events = st.sampled_from(sorted(set(ensemble.times_s.tolist()) | {t_max}))
+    edges = st.tuples(st.one_of(events, st.floats(0.0, t_max)), st.one_of(events, st.floats(0.0, t_max)))
+    t0, t1 = (0.0, t_max) if data is None else data.draw(st.one_of(st.just((0.0, t_max)), edges.map(sorted)))
+    assume(t0 < t1)
+    got = ensemble.time_averages(t0, t1)
+    assert got.dtype == np.float64 and got.size == members and not got.flags.writeable
+    listed = list(ensemble)
+    # each member's time_average, each member's own pass as a trajectory built directly, and one pass over the
+    # members laid out as a list
+    direct = [built_directly(tr) for tr in listed]
+    wide = cooling_sim._window_means(np.concatenate([tr.times_s for tr in listed]),
+                                     np.concatenate([tr.phonon_numbers for tr in listed], dtype=float),
+                                     [tr.times_s.size for tr in listed], t0, t1)
+    for want in ([tr.time_average(t0, t1) for tr in listed], [tr.time_average(t0, t1) for tr in direct], wide):
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_members_asking_for_one_window_share_one_pass(monkeypatch):
+    passes = []
+    window_means = cooling_sim._window_means
+    monkeypatch.setattr(cooling_sim, "_window_means", lambda *args: passes.append(args[3:]) or window_means(*args))
+    ensemble = simulate_ensemble(replace(HEATED, t_max_s=1.0), 200)
+    first = [tr.time_average(0.25, 1.0) for tr in ensemble]
+    assert passes == [(0.25, 1.0)]
+    second = [tr.time_average(0.5, 1.0) for tr in ensemble]
+    assert passes == [(0.25, 1.0), (0.5, 1.0)] and first != second
+    again = [tr.time_average(0.25, 1.0) for tr in ensemble]  # only the last window is kept: one more pass
+    assert passes == [(0.25, 1.0), (0.5, 1.0), (0.25, 1.0)]
+    assert np.array(again).tobytes() == np.array(first).tobytes() == ensemble.time_averages(0.25, 1.0).tobytes()
+    # ensemble_stats reads the last quartile through the same pass, which a member asking for it then reuses
+    stats = ensemble_stats(ensemble)
+    assert ensemble[7].time_average(0.75, 1.0) == ensemble.time_averages(0.75, 1.0)[7]
+    assert passes[3:] == [(0.75, 1.0)] and stats.steady_state_n == ensemble.time_averages(0.75, 1.0).mean()
+
+
+@pytest.mark.parametrize("t_max", [1e-13, 3.0])
+def test_a_window_may_reach_past_t_max_by_1e_12_of_it_and_no_more(t_max):
+    cfg = CycleConfig(gamma=11.0, eta_sp=0.74, step_duration_s=1e-3, t_max_s=t_max, seed=5, heating_rate=2.0,
+                      n_initial=3)
+    ensemble = simulate_ensemble(cfg, 3)
+    member = ensemble[1]
+    averages = (ensemble.time_averages, member.time_average, built_directly(member).time_average)
+    for t1 in (t_max, t_max * (1.0 + 0.5e-12)):
+        for average in averages:
+            average(0.0, t1)
+    for t1 in (t_max * (1.0 + 2e-12), 10.0 * t_max, 12.0 * t_max, math.inf, math.nan):
+        for average in averages:
+            with pytest.raises(ValueError, match=r"outside \[0, "):
+                average(0.0, t1)
+    for t0, t1 in ((0.5 * t_max, 0.5 * t_max), (0.5 * t_max, 0.25 * t_max), (-0.1 * t_max, t_max), (math.nan, t_max)):
+        for average in averages:
+            with pytest.raises(ValueError, match=r"outside \[0, "):
+                average(t0, t1)
