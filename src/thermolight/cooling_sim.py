@@ -87,6 +87,9 @@ class CycleConfig:
         object.__setattr__(self, "step_duration_s", real_value("step_duration_s", self.step_duration_s))
         object.__setattr__(self, "t_max_s", real_value("t_max_s", self.t_max_s))
         object.__setattr__(self, "heating_rate", real_value("heating_rate", self.heating_rate, open_lo=False))
+        if self.heating_rate > 0.0 and not math.isfinite(self.t_max_s / self.step_duration_s):
+            raise ValueError(f"step_duration_s {self.step_duration_s!r} splits t_max_s {self.t_max_s!r} into more "
+                             "intervals than a double holds, and a heated run counts them")
         # the record holds n as int64; the margin below 2**63 leaves room for heating
         object.__setattr__(self, "n_initial", int_value("n_initial", self.n_initial, 0, 2 ** 62))
         object.__setattr__(self, "transfer_prob", real_value("transfer_prob", self.transfer_prob, 0, 1, open_lo=False))
@@ -95,7 +98,7 @@ class CycleConfig:
 
 @dataclass(frozen=True, eq=False)
 class CoolingTrajectory:
-    """Event record of one simulated run.
+    """Event record of one simulated run: a member an Ensemble makes, whose time_average reads its ensemble's pass.
 
     Rows are (time, n, state tag). Tags: 'S' and 'D' mark heating or
     transfer events while in that internal state; 'P' marks a scatter
@@ -116,29 +119,12 @@ class CoolingTrajectory:
     config: CycleConfig
     counters: dict
 
-    def __post_init__(self):
-        t = np.asarray(self.times_s, dtype=float)
-        n = np.asarray(self.phonon_numbers, dtype=np.int64)
-        t.setflags(write=False)
-        n.setflags(write=False)
-        object.__setattr__(self, "times_s", t)
-        object.__setattr__(self, "phonon_numbers", n)
-
-    _ensemble = None  # the Ensemble a member was made from, and its index there
-    _index = 0
-
     def time_average(self, t0: float, t1: float) -> float:
         """Time average of the piecewise-constant n over [t0, t1], 0 <= t0 < t1 <= t_max_s (1 + 1e-12).
 
-        Bit for bit the member's entry of one _window_means pass over the whole ensemble, the pass
-        ensemble_stats makes for its steady state. A member of an Ensemble reads its entry of the
-        ensemble's time_averages, so members asking for one window share one pass; a trajectory
-        built directly makes its own pass.
+        The member's entry of its ensemble's time_averages: members asking for one window share one pass.
         """
-        if self._ensemble is not None:
-            return float(self._ensemble.time_averages(t0, t1)[self._index])
-        _check_window(self.config, t0, t1)
-        return float(_window_means(self.times_s, self.phonon_numbers, [self.times_s.size], t0, t1)[0])
+        return float(self._ensemble.time_averages(t0, t1)[self._index])
 
     def to_csv_text(self) -> str:
         return csv_text("time_s,n,internal_state", map(repr, self.times_s.tolist()),
@@ -154,9 +140,8 @@ class Ensemble(Sequence):
 
     Each index or iteration makes a new CoolingTrajectory: read-only views of its rows, config with the
     seed seeds[k], a copy of counters[k], and a reference to this ensemble and k, through which its
-    time_average reads time_averages. A slice, and a sum with a list, give a list of members. The
-    ensemble keeps the last window's time_averages, so its members asking for one window in turn
-    make one pass between them.
+    time_average reads time_averages. A slice gives a list of members. The ensemble keeps the last
+    window's time_averages, so its members asking for one window in turn make one pass between them.
     """
 
     config: CycleConfig
@@ -177,12 +162,6 @@ class Ensemble(Sequence):
     def __iter__(self):
         return map(self._member, range(len(self.seeds)))
 
-    def __add__(self, other):
-        return list(self) + other
-
-    def __radd__(self, other):
-        return other + list(self)
-
     _last_window = None, None  # the last window time_averages computed, and its read-only result
 
     def time_averages(self, t0: float, t1: float) -> np.ndarray:
@@ -194,7 +173,9 @@ class Ensemble(Sequence):
         """
         window, means = self._last_window
         if window != (t0, t1):
-            _check_window(self.config, t0, t1)
+            t_max = self.config.t_max_s
+            if not (0.0 <= t0 < t1 and t1 - t_max <= 1e-12 * t_max):
+                raise ValueError(f"window [{t0}, {t1}] outside [0, {t_max}]")
             means = _window_means(self.times_s, self.phonon_numbers, np.diff(self.ends, prepend=0), t0, t1)
             means.setflags(write=False)
             object.__setattr__(self, "_last_window", ((t0, t1), means))
@@ -205,18 +186,12 @@ class Ensemble(Sequence):
         # the member copies config's validated fields; its seed, a uint64 word, is in range too
         config = object.__new__(CycleConfig)
         config.__dict__.update(vars(self.config), seed=self.seeds[k])
-        # the views are float64 and int64 and read-only already: __post_init__ has nothing to do
+        # set through __dict__, past the frozen dataclass's __init__: the views are float64, int64 and read-only already
         traj = object.__new__(CoolingTrajectory)
         traj.__dict__.update(times_s=self.times_s[start:end], phonon_numbers=self.phonon_numbers[start:end],
                              states=tuple(self.tags[start:end]), config=config, counters=dict(self.counters[k]),
                              _ensemble=self, _index=k)
         return traj
-
-
-def _check_window(cfg: CycleConfig, t0: float, t1: float) -> None:
-    """Refuse a window [t0, t1] that is empty or reaches past t_max_s by more than 1e-12 of it."""
-    if not (0.0 <= t0 < t1 and t1 - cfg.t_max_s <= 1e-12 * cfg.t_max_s):
-        raise ValueError(f"window [{t0}, {t1}] outside [0, {cfg.t_max_s}]")
 
 
 BLOCK = 128  # uniforms per refill of a member's stream; no trajectory depends on it
@@ -469,7 +444,7 @@ def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
     lengths. Every row holds its n until the member's next row, the last
     one to the end; its duration clipped to the window weights that n.
     bincount adds each member's weights from 0.0 in row order, so a
-    member's mean is bit for bit the same in any layout, alone included.
+    member's mean is bit for bit the same whatever members lie beside it.
     """
     held = np.empty_like(times)
     held[:-1] = times[1:]
@@ -485,12 +460,10 @@ def _window_means(times, numbers, sizes, t0: float, t1: float) -> np.ndarray:
 def _grid_cells(grid, times) -> np.ndarray:
     """np.searchsorted(grid, times), the first grid time at or after each time, on a linspace grid from 0.
 
-    The cell index is ceil(t/step), moved by one where the grid's own values say so: t/step and the
-    grid's k*step each round by half an ulp, so they disagree by at most one cell.
+    The cell index is ceil(t/step), moved by one where the grid's own values say so: t/step and the grid's
+    k*step each round by half an ulp, so at the normal steps ensemble_stats takes they are at most one cell apart.
     """
     step = grid[-1] / (grid.size - 1)
-    if not step >= np.finfo(float).tiny:  # subnormal steps round too coarsely for the one-cell correction
-        return np.searchsorted(grid, times)
     cells = np.ceil(times / step)
     np.clip(cells, 0, grid.size, out=cells)
     cells = cells.astype(np.intp)
@@ -518,12 +491,11 @@ def _grid_samples(times, numbers, sizes, grid) -> np.ndarray:
     return numbers[counts.reshape(len(sizes), cells)[:, :-1]]
 
 
-def ensemble_counters(trajectories: Sequence) -> dict:
-    """Ensemble totals of the per-trajectory counters, with a count of each stop reason."""
-    runs = trajectories.counters if isinstance(trajectories, Ensemble) else [tr.counters for tr in trajectories]
+def ensemble_counters(trajectories: Ensemble) -> dict:
+    """An Ensemble's totals of its members' counters, with a count of each stop reason."""
     counted = ("cycles", "empty_intervals", "transfers", "scatters", "heating_events")
-    totals = {key: sum(run[key] for run in runs) for key in counted}
-    totals["stop_reasons"] = dict(Counter(run["stop_reason"] for run in runs))
+    totals = {key: sum(run[key] for run in trajectories.counters) for key in counted}
+    totals["stop_reasons"] = dict(Counter(run["stop_reason"] for run in trajectories.counters))
     return totals
 
 
@@ -558,8 +530,8 @@ class EnsembleStats:
         }
 
 
-def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleStats:
-    """Grid-resampled ensemble statistics.
+def ensemble_stats(trajectories: Ensemble, grid_points: int = 201) -> EnsembleStats:
+    """Grid-resampled statistics of an Ensemble's members.
 
     The initial cooling slope is a per-trajectory least-squares fit over
     the first 20% of the cooling transient (from n_initial toward the
@@ -577,31 +549,22 @@ def ensemble_stats(trajectories: Sequence, grid_points: int = 201) -> EnsembleSt
     t_max_s/(grid_points - 1). The slopes' variance is in 1/s^2, so a step
     whose square is not a normal double is refused.
     """
+    if not isinstance(trajectories, Ensemble):
+        raise TypeError(f"ensemble_stats takes an Ensemble, got {type(trajectories).__name__}")
     if len(trajectories) < 2:
         raise ValueError("need at least two trajectories")
     grid_points = int_value("grid_points", grid_points)
     if grid_points < 3:
         raise ValueError(f"need at least three grid points, got {grid_points}")
-    if isinstance(trajectories, Ensemble):  # one config by construction, the rows laid out already
-        cfg, times, numbers = trajectories.config, trajectories.times_s, trajectories.phonon_numbers.astype(float)
-        sizes = np.diff(trajectories.ends, prepend=0)
-    else:
-        cfg = trajectories[0].config
-        if any(dict(vars(traj.config), seed=0) != dict(vars(cfg), seed=0) for traj in trajectories):  # but the seeds
-            raise ValueError("trajectories come from differing configs")
-        times = np.concatenate([traj.times_s for traj in trajectories])
-        numbers = np.concatenate([traj.phonon_numbers for traj in trajectories], dtype=float)
-        sizes = np.array([traj.times_s.size for traj in trajectories])
+    cfg, times, numbers = trajectories.config, trajectories.times_s, trajectories.phonon_numbers.astype(float)
+    sizes = np.diff(trajectories.ends, prepend=0)
     t_max = cfg.t_max_s
     step = t_max / (grid_points - 1)
     if not step * step >= _TINY:
         raise ValueError(f"t_max_s {t_max!r} over {grid_points - 1} grid steps gives steps of {step!r} s, "
                          f"below the {math.sqrt(_TINY):.3g} s whose square is the smallest normal double")
     grid = np.linspace(0.0, t_max, grid_points)
-    if isinstance(trajectories, Ensemble):
-        quartiles = trajectories.time_averages(0.75 * t_max, t_max)
-    else:
-        quartiles = _window_means(times, numbers, sizes, 0.75 * t_max, t_max)
+    quartiles = trajectories.time_averages(0.75 * t_max, t_max)
     samples = _grid_samples(times, numbers, sizes, grid)
     del times, numbers  # free the records before the (members x grid) temporaries below
     mean_n = samples.mean(axis=0)

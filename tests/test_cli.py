@@ -541,6 +541,15 @@ def test_simulate_names_the_flag_of_a_horizon_too_short_for_its_grid(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("step, t_max", [("5e-324", "1"), ("1e-308", "10")])
+def test_simulate_names_the_flag_of_a_heated_run_with_more_intervals_than_a_double_holds(tmp_path, capsys, step, t_max):
+    out = tmp_path / "out"
+    argv = ["simulate", "--gamma", "11", "--eta-sp", "0.74", "--step-duration-s", step, "--t-max-s", t_max,
+            "--trajectories", "2", "--heating-rate", "1", "--out", str(out)]
+    run_main_refused(argv, capsys, f"--step-duration-s {step} splits t_max_s")
+    assert not out.exists()
+
+
 def test_simulate_fits_a_slope_over_a_horizon_whose_squares_overflow(tmp_path, capsys):
     code, stdout, err = run_main([*EXTREME_HORIZON, "--t-max-s", "1e200", "--out", str(tmp_path)], capsys)
     assert code == 0 and err == ""
